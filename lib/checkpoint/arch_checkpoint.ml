@@ -37,13 +37,13 @@ let capture_memory (mem : Memory.t) =
   Array.iteri
     (fun i p ->
       match p with
-      | Some pg -> pages := (i, Bytes.copy pg.Memory.data) :: !pages
+      | Some pg -> pages := (i, Bytes.copy pg.Cow_store.data) :: !pages
       | None -> ())
-    mem.Memory.pages;
+    mem.Memory.store.Cow_store.pages;
   List.rev !pages
 
 let restore_memory (t : t) (mem : Memory.t) =
-  assert (mem.Memory.page_bits = t.ck_page_bits);
+  assert (Cow_store.page_bits = t.ck_page_bits);
   List.iter
     (fun (i, data) ->
       let base =
@@ -75,7 +75,7 @@ let capture_mach (m : Nemu.Mach.t) : t =
             try Csr.read csr a with Csr.Illegal_csr _ -> 0L ))
         restorable_csrs;
     ck_pages = capture_memory mem;
-    ck_page_bits = mem.Memory.page_bits;
+    ck_page_bits = Cow_store.page_bits;
     ck_mem_base = mem.Memory.base;
     ck_mem_size = Memory.size mem;
     ck_instret = Int64.of_int m.Nemu.Mach.instret;

@@ -60,6 +60,11 @@ type t = {
           the {!Riscv.Arch_state.diff} message format *)
   memories : unit -> Riscv.Memory.t list;
       (** the COW memories this REF owns (LightSSS snapshots these) *)
+  detach_derived : unit -> unit -> unit;
+      (** swap derived caches (NEMU's uop cache) out of the object
+          graph while LightSSS marshals it; returns the undo *)
+  rebuild_derived : unit -> unit;
+      (** install flushed derived caches in a restored copy *)
   exited : unit -> bool;
   exit_code : unit -> int option;
 }

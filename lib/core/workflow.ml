@@ -28,30 +28,40 @@ type outcome =
   | Verified of int (* exit code; no mismatch found *)
   | Debugged of debug_report
 
-let memories_of (dt : Difftest.t) : Riscv.Memory.t list =
-  (Difftest.soc dt).Xiangshan.Soc.plat.Riscv.Platform.mem
-  :: List.concat_map
-       (fun (r : Ref_model.t) -> r.Ref_model.memories ())
-       (Array.to_list (Difftest.refs dt))
+let stores_of (dt : Difftest.t) : Riscv.Cow_store.t list =
+  Xiangshan.Soc.cow_stores (Difftest.soc dt)
+  @ List.concat_map
+      (fun (r : Ref_model.t) ->
+        List.map
+          (fun (m : Riscv.Memory.t) -> m.Riscv.Memory.store)
+          (r.Ref_model.memories ()))
+      (Array.to_list (Difftest.refs dt))
 
-(* The Global Memory grows with the stored footprint; like fork-shared
-   pages it is shared with the replayed instance instead of being
-   copied into every snapshot image. *)
+(* Left out of every image: the Global Memory grows with the stored
+   footprint and, like fork-shared pages, is shared with the replayed
+   instance instead of being copied; the REFs' derived caches (NEMU's
+   uop cache) are rebuilt flushed after restore. *)
 let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
   let gm = Difftest.global_mem dt in
+  let refs = Array.to_list (Difftest.refs dt) in
   let stash = ref None in
   {
-    Lightsss.memories = memories_of dt;
+    Lightsss.stores = stores_of dt;
     roots = dt;
     detach_heavy =
       (fun () ->
-        stash := Some gm.Global_memory.words;
-        gm.Global_memory.words <- Hashtbl.create 1);
+        let words = gm.Global_memory.words in
+        gm.Global_memory.words <- Hashtbl.create 1;
+        let reattach =
+          List.map (fun (r : Ref_model.t) -> r.Ref_model.detach_derived ()) refs
+        in
+        stash := Some (words, reattach));
     reattach_heavy =
       (fun () ->
         match !stash with
-        | Some w ->
-            gm.Global_memory.words <- w;
+        | Some (words, reattach) ->
+            gm.Global_memory.words <- words;
+            List.iter (fun f -> f ()) reattach;
             stash := None
         | None -> ());
   }
@@ -60,9 +70,12 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
    superset of its state at snapshot time, which only makes the legal
    set larger in the replayed window). *)
 let restore_shared (dt : Difftest.t) (snap : Lightsss.snapshot) : Difftest.t =
-  let dt' : Difftest.t = Lightsss.restore_with snap ~memories_of in
+  let dt' : Difftest.t = Lightsss.restore_with snap ~stores_of in
   (Difftest.global_mem dt').Global_memory.words <-
     (Difftest.global_mem dt).Global_memory.words;
+  Array.iter
+    (fun (r : Ref_model.t) -> r.Ref_model.rebuild_derived ())
+    (Difftest.refs dt');
   dt'
 
 (* Per-hart counter snapshots merged by name (summed across harts) and

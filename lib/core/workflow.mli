@@ -28,18 +28,21 @@ type debug_report = {
 
 type outcome = Verified of int (** exit code *) | Debugged of debug_report
 
-val memories_of : Difftest.t -> Riscv.Memory.t list
-(** Every COW memory a DiffTest instance owns (DUT + all REFs), in a
-    stable order -- the enumeration LightSSS snapshots and restores. *)
+val stores_of : Difftest.t -> Riscv.Cow_store.t list
+(** Every COW store a DiffTest instance owns, in a stable order: the
+    DUT's ({!Xiangshan.Soc.cow_stores}: memory, cache-line metadata,
+    predictor and TLB tables), then each REF's memory -- the
+    enumeration LightSSS snapshots and restores. *)
 
 val subject_of : Difftest.t -> Difftest.t Lightsss.subject
-(** The standard snapshot subject: COW memories plus the simulator
-    graph, with the Global Memory detached (it is shared with the
-    replay like fork-shared pages rather than copied per snapshot). *)
+(** The standard snapshot subject: every COW store plus the simulator
+    graph.  Left out of the image: the Global Memory (shared with the
+    replay like fork-shared pages rather than copied per snapshot) and
+    the REFs' derived caches (rebuilt by {!restore_shared}). *)
 
 val restore_shared : Difftest.t -> Lightsss.snapshot -> Difftest.t
 (** Restore a snapshot of [dt] into a fresh instance sharing the live
-    Global Memory. *)
+    Global Memory, with each REF's derived caches rebuilt flushed. *)
 
 val run_verified :
   ?snapshot_interval:int ->

@@ -4,15 +4,24 @@
    lets the kernel's copy-on-write give an in-memory, incremental,
    circuit-agnostic snapshot.  The OCaml analogue implemented here:
 
-   - the big state (every simulated physical memory) lives in
-     Riscv.Memory's paged COW store: a snapshot copies only the page
-     table, exactly like fork duplicating page tables, and later
-     writes pay lazy per-page copies (the COW faults measured in
-     Figure 6);
-   - the remaining simulator state (cores, caches, reference models)
-     is captured with Marshal including closures -- the analogue of
-     the fork'd process image -- after detaching the page arrays so
-     the marshalled image stays O(metadata), not O(memory).
+   - the big state lives in Riscv.Cow_store paged COW stores: every
+     simulated physical memory, and the large fixed-size
+     micro-architectural tables (cache-line metadata, branch-predictor
+     tables, TLB entries).  A snapshot records only their allocated
+     pages, exactly like fork duplicating page tables, and later writes pay
+     lazy per-page copies (the COW faults measured in Figure 6);
+   - the remaining simulator state (pipelines, queues, counters,
+     reference-model architectural state, the records that own the
+     stores) is captured with Marshal including closures -- the
+     analogue of the fork'd process image -- after detaching the page
+     arrays, so the image holds no page data;
+   - state shared with the replay or rebuilt after restore is left out
+     of the image: the subject's [detach_heavy] unhooks it while
+     marshalling (DiffTest's Global Memory, shared with the replay; the
+     NEMU REF's uop cache, rebuilt after restore as a flushed cache).
+
+   So a snapshot costs the stores' page tables plus an image of the
+   small remaining state, and the run pays for the pages written since.
 
    The manager keeps only the two most recent snapshots (paper
    §III-C3): when the verification layer reports an error, the older
@@ -20,74 +29,57 @@
    mode.
 
    The SSS and LiveSim baselines of Table I are provided for
-   comparison: both copy the full image (memory included); SSS
+   comparison: both copy the full image (stores included); SSS
    additionally round-trips it through a file. *)
 
 type snapshot = {
   snap_cycle : int;
-  mem_snaps : Riscv.Memory.snapshot list;
-  image : bytes; (* marshalled simulator graph, memories detached *)
+  store_snaps : Riscv.Cow_store.snapshot list;
+  image : bytes; (* marshalled simulator graph, pages detached *)
   image_bytes : int;
 }
 
-(* A subject couples the COW-able memories with the root of the
-   mutable object graph to capture.  [detach_heavy]/[reattach_heavy]
-   bracket the marshalling step: verification state that is shared
-   with the replayed instance rather than copied (the analogue of
-   fork-shared pages, e.g. DiffTest's Global Memory) is unhooked there
-   so the image stays O(simulator metadata). *)
+(* A subject couples the COW stores with the root of the mutable object
+   graph to capture.  [detach_heavy]/[reattach_heavy] bracket the
+   marshalling step: state that is shared with the replayed instance
+   or rebuilt after restore, rather than copied, is unhooked there so
+   the image stays O(simulator metadata). *)
 type 'a subject = {
-  memories : Riscv.Memory.t list;
+  stores : Riscv.Cow_store.t list;
   roots : 'a;
   detach_heavy : unit -> unit;
   reattach_heavy : unit -> unit;
 }
 
-let plain_subject ~memories ~roots =
-  {
-    memories;
-    roots;
-    detach_heavy = (fun () -> ());
-    reattach_heavy = (fun () -> ());
-  }
-
-let detach_pages (m : Riscv.Memory.t) =
-  let p = m.Riscv.Memory.pages in
-  m.Riscv.Memory.pages <- [||];
-  Riscv.Memory.invalidate_caches m;
-  p
-
-let reattach_pages (m : Riscv.Memory.t) p =
-  m.Riscv.Memory.pages <- p;
-  Riscv.Memory.invalidate_caches m
-
 (* Take a lightweight snapshot at [cycle]. *)
 let snapshot (s : 'a subject) ~cycle : snapshot =
-  let mem_snaps = List.map Riscv.Memory.snapshot s.memories in
-  let saved = List.map detach_pages s.memories in
-  s.detach_heavy ();
+  let store_snaps = List.map Riscv.Cow_store.snapshot s.stores in
   let image =
-    Fun.protect
-      ~finally:(fun () ->
-        s.reattach_heavy ();
-        List.iter2 reattach_pages s.memories saved)
-      (fun () -> Marshal.to_bytes s.roots [ Marshal.Closures ])
+    Riscv.Cow_store.with_pages_detached s.stores (fun () ->
+        s.detach_heavy ();
+        Fun.protect ~finally:s.reattach_heavy (fun () ->
+            Marshal.to_bytes s.roots [ Marshal.Closures ]))
   in
-  { snap_cycle = cycle; mem_snaps; image; image_bytes = Bytes.length image }
+  { snap_cycle = cycle; store_snaps; image; image_bytes = Bytes.length image }
 
-(* Restore with an explicit memory enumeration function applied to the
+(* Restore with an explicit store enumeration function applied to the
    fresh roots. *)
-let restore_with (snap : snapshot) ~(memories_of : 'a -> Riscv.Memory.t list) :
-    'a =
+let restore_with (snap : snapshot) ~(stores_of : 'a -> Riscv.Cow_store.t list)
+    : 'a =
   let roots : 'a = Marshal.from_bytes snap.image 0 in
-  let mems = memories_of roots in
-  List.iter2
-    (fun m ms -> Riscv.Memory.restore m ms)
-    mems snap.mem_snaps;
+  let stores = stores_of roots in
+  let have = List.length snap.store_snaps and got = List.length stores in
+  if have <> got then
+    invalid_arg
+      (Printf.sprintf
+         "Lightsss.restore_with: the snapshot holds %d COW stores but the \
+          restored graph enumerates %d"
+         have got);
+  List.iter2 Riscv.Cow_store.restore stores snap.store_snaps;
   roots
 
 let release (snap : snapshot) =
-  List.iter Riscv.Memory.release_snapshot snap.mem_snaps
+  List.iter Riscv.Cow_store.release snap.store_snaps
 
 (* ---- the two-slot snapshot manager ---------------------------------- *)
 
@@ -134,8 +126,8 @@ let replay_point (m : 'a manager) : snapshot option =
 
 (* ---- SSS / LiveSim baselines (Table I) ------------------------------- *)
 
-(* Full-image snapshot: marshals everything *including* the memory
-   pages -- O(simulated memory).  [to_file] additionally round-trips
+(* Full-image snapshot: marshals everything *including* the store
+   pages -- O(simulated memory + tables).  [to_file] additionally round-trips
    through the filesystem, like the Verilator save/restore flow. *)
 let full_image_snapshot ?(to_file = false) (s : 'a subject) : int =
   let image = Marshal.to_bytes s.roots [ Marshal.Closures ] in

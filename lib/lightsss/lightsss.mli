@@ -2,47 +2,56 @@
 
     The paper forks the RTL-simulation process and lets the kernel's
     copy-on-write provide an in-memory, incremental, circuit-agnostic
-    snapshot.  The OCaml analogue: every simulated physical memory
-    lives in {!Riscv.Memory}'s paged COW store, whose snapshot copies
-    only the page table (like [fork] copying page tables); the rest of
-    the simulator graph is captured with [Marshal] (closures included)
-    after detaching the page arrays and any shared verification state,
-    so the image stays O(metadata).
+    snapshot.  The OCaml analogue:
 
-    The manager keeps the most recent two snapshots (§III-C3): on an
-    error, the older one is restored and at most two intervals are
-    replayed in debug mode. *)
+    - COW-paged: every simulated physical memory and the large
+      fixed-size micro-architectural tables (cache-line metadata,
+      branch-predictor tables, TLB entries) live in
+      {!Riscv.Cow_store}s, whose snapshot copies only the page table
+      (like [fork] copying page tables);
+    - marshalled: the rest of the simulator graph (pipelines, queues,
+      counters, reference-model architectural state), captured with
+      [Marshal] (closures included) with the page arrays detached;
+    - left out: state shared with the replay or rebuilt after restore,
+      unhooked by the subject while marshalling -- DiffTest's Global
+      Memory, and the NEMU REF's uop cache, which a restore rebuilds
+      as a flushed cache (see {!Minjie.Workflow.subject_of}).
+
+    So a snapshot costs the page tables plus a small image, and the run
+    pays per page written since (the COW faults).  The manager keeps
+    the most recent two snapshots (§III-C3): on an error, the older
+    one is restored and at most two intervals are replayed in debug
+    mode. *)
 
 type snapshot = {
   snap_cycle : int;
-  mem_snaps : Riscv.Memory.snapshot list;
+  store_snaps : Riscv.Cow_store.snapshot list;
   image : bytes;
   image_bytes : int;
 }
 
-(** What to snapshot: the COW-able memories plus the root of the
-    object graph.  [detach_heavy]/[reattach_heavy] bracket the
-    marshalling step for state shared with the replay rather than
-    copied (the fork-shared-pages analogue; see
-    {!Minjie.Workflow.subject_of}). *)
+(** What to snapshot: every COW store, in a fixed order, plus the root
+    of the object graph.  [detach_heavy]/[reattach_heavy] bracket the
+    marshalling step for state shared with the replay or rebuilt after
+    restore rather than copied. *)
 type 'a subject = {
-  memories : Riscv.Memory.t list;
+  stores : Riscv.Cow_store.t list;
   roots : 'a;
   detach_heavy : unit -> unit;
   reattach_heavy : unit -> unit;
 }
 
-val plain_subject : memories:Riscv.Memory.t list -> roots:'a -> 'a subject
-
 val snapshot : 'a subject -> cycle:int -> snapshot
-(** O(page tables + metadata). *)
+(** O(allocated pages + the marshalled image). *)
 
-val restore_with : snapshot -> memories_of:('a -> Riscv.Memory.t list) -> 'a
-(** Unmarshal a fresh copy of the roots and repopulate its memories
-    from the COW snapshots.  [memories_of] must enumerate the fresh
-    graph's memories in the same order the subject listed them.  The
-    caller re-installs whatever sinks it wants on the replayed
-    instance (that is where debug mode gets switched on). *)
+val restore_with : snapshot -> stores_of:('a -> Riscv.Cow_store.t list) -> 'a
+(** Unmarshal a fresh copy of the roots and repopulate its stores from
+    the COW snapshots.  [stores_of] must enumerate the fresh graph's
+    stores in the order the subject listed them; a different count
+    raises [Invalid_argument] naming both counts.  The caller rebuilds
+    whatever the subject left out and re-installs the sinks it wants
+    on the replayed instance (that is where debug mode gets switched
+    on). *)
 
 val release : snapshot -> unit
 
@@ -70,7 +79,7 @@ val replay_point : 'a manager -> snapshot option
 (** {1 Baselines (Table I)} *)
 
 val full_image_snapshot : ?to_file:bool -> 'a subject -> int
-(** O(memory) full image (the LiveSim-like baseline); [to_file]
+(** O(memory + tables) full image (the LiveSim-like baseline); [to_file]
     additionally round-trips through the filesystem (the Verilator
     save/restore SSS flow).  Returns the image size in bytes. *)
 

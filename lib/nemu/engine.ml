@@ -105,7 +105,7 @@ type warm = {
   w_mach : Mach.t;
   w_fast : Fast.t;
   w_entry : int64;
-  w_mem0 : Riscv.Memory.snapshot;  (** memory right after [load_program] *)
+  w_mem0 : Riscv.Cow_store.snapshot;  (** memory right after [load_program] *)
   w_csr0 : Riscv.Csr.t;  (** pristine CSR file (a [Csr.copy]) *)
   mutable w_clean_flushes : int;
       (** value of [Fast.flushes] at the last point the caches were

@@ -347,8 +347,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
      nothing; misses (paging on, out of DRAM, misaligned, page-cache
      miss) call out exactly as before. *)
   let mbase = mem.Memory.base in
+  let store = mem.Memory.store in
   let msize = Int64.of_int (Memory.size mem) in
-  let pbits = mem.Memory.page_bits in
+  let pbits = Cow_store.page_bits in
   let pmask = (1 lsl pbits) - 1 in
   let rdx rd = if rd = 0 then Mach.sink else rd in
   match insn with
@@ -539,8 +540,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Bytes.get_int64_le data (off land pmask))
@@ -560,8 +562,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.of_int32 (Bytes.get_int32_le data (off land pmask)))
@@ -581,8 +584,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.logand
@@ -604,8 +608,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.of_int (Bytes.get_int16_le data (off land pmask)))
@@ -625,8 +630,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.of_int (Bytes.get_uint16_le data (off land pmask)))
@@ -642,8 +648,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.of_int (Bytes.get_int8 data (off land pmask)))
@@ -659,8 +666,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd
                   (Int64.of_int (Bytes.get_uint8 data (off land pmask)))
@@ -683,8 +691,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_int64_le data (off land pmask)
                   (Array1.unsafe_get regs rs2)
@@ -706,8 +715,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_int32_le data (off land pmask)
                   (Int64.to_int32 (Array1.unsafe_get regs rs2))
@@ -729,8 +739,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_uint16_le data (off land pmask)
                   (Int64.to_int (Array1.unsafe_get regs rs2) land 0xFFFF)
@@ -748,8 +759,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_uint8 data (off land pmask)
                   (Int64.to_int (Array1.unsafe_get regs rs2) land 0xFF)
@@ -772,8 +784,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
             let off = Int64.to_int d in
             let idx = off lsr pbits in
             let data =
-              if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-              else Memory.read_page mem idx
+              if idx = store.Cow_store.cache_r_idx then
+                store.Cow_store.cache_r_data
+              else Cow_store.read_page store idx
             in
             Array1.unsafe_set fregs frd (Bytes.get_int64_le data (off land pmask))
           end
@@ -792,8 +805,9 @@ let compile_straight (m : Mach.t) (insn : Insn.t) : (unit -> unit) option =
             let off = Int64.to_int d in
             let idx = off lsr pbits in
             let data =
-              if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-              else Memory.write_page mem idx
+              if idx = store.Cow_store.cache_w_idx then
+                store.Cow_store.cache_w_data
+              else Cow_store.write_page store idx
             in
             Bytes.set_int64_le data (off land pmask)
               (Array1.unsafe_get fregs frs2)
@@ -1754,8 +1768,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
   let fregs = m.Mach.fregs in
   let mem = m.Mach.plat.Platform.mem in
   let mbase = mem.Memory.base in
+  let store = mem.Memory.store in
   let msize = Int64.of_int (Memory.size mem) in
-  let pbits = mem.Memory.page_bits in
+  let pbits = Cow_store.page_bits in
   let pmask = (1 lsl pbits) - 1 in
   let paged = m.Mach.paging in
   let hpc = head.e_pc in
@@ -1985,8 +2000,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd1
                   (Bytes.get_int64_le data (off land pmask));
@@ -2023,8 +2039,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set regs rd1
                   (Int64.of_int32 (Bytes.get_int32_le data (off land pmask)));
@@ -2060,8 +2077,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_int64_le data (off land pmask)
                   (Array1.unsafe_get regs rs2a);
@@ -2097,8 +2115,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_int32_le data (off land pmask)
                   (Int64.to_int32 (Array1.unsafe_get regs rs2a));
@@ -2133,8 +2152,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_r_idx then mem.Memory.cache_r_data
-                  else Memory.read_page mem idx
+                  if idx = store.Cow_store.cache_r_idx then
+                    store.Cow_store.cache_r_data
+                  else Cow_store.read_page store idx
                 in
                 Array1.unsafe_set fregs fd1
                   (Bytes.get_int64_le data (off land pmask));
@@ -2169,8 +2189,9 @@ let rec build_trace (t : t) (head : entry) (plain : exec_fn) : exec_fn option =
                 let off = Int64.to_int d in
                 let idx = off lsr pbits in
                 let data =
-                  if idx = mem.Memory.cache_w_idx then mem.Memory.cache_w_data
-                  else Memory.write_page mem idx
+                  if idx = store.Cow_store.cache_w_idx then
+                    store.Cow_store.cache_w_data
+                  else Cow_store.write_page store idx
                 in
                 Bytes.set_int64_le data (off land pmask)
                   (Array1.unsafe_get fregs fs1);

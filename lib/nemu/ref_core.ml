@@ -67,8 +67,8 @@ let no_block =
 
 type t = {
   m : Mach.t;
-  caches : block array array; (* U / S / M partitions, direct-mapped *)
-  page_index : (int64, (int * int) list) Hashtbl.t;
+  mutable caches : block array array; (* U / S / M partitions, direct-mapped *)
+  mutable page_index : (int64, (int * int) list) Hashtbl.t;
       (* physical code page -> cache slots (partition, slot) compiled
          from it *)
   mutable cur : block;
@@ -174,6 +174,30 @@ let flush_blocks t =
   t.cur_pc <- Int64.min_int;
   t.gen <- t.gen + 1;
   t.flushes <- t.flushes + 1
+
+(* LightSSS leaves the uop cache out of snapshot images: it is derived
+   from memory and rebuilt on demand.  [detach_derived] swaps the block
+   cache, its page index and the cursor for empty placeholders and
+   returns the function that puts them back; a restored copy calls
+   [rebuild_derived], which installs a flushed cache. *)
+let detach_derived t =
+  let caches = t.caches and page_index = t.page_index in
+  let cur = t.cur and cur_ix = t.cur_ix and cur_pc = t.cur_pc in
+  t.caches <- [||];
+  t.page_index <- Hashtbl.create 1;
+  t.cur <- no_block;
+  t.cur_ix <- 0;
+  t.cur_pc <- Int64.min_int;
+  fun () ->
+    t.caches <- caches;
+    t.page_index <- page_index;
+    t.cur <- cur;
+    t.cur_ix <- cur_ix;
+    t.cur_pc <- cur_pc
+
+let rebuild_derived t =
+  t.caches <- Array.init 3 (fun _ -> Array.make cache_slots no_block);
+  t.page_index <- Hashtbl.create 256
 
 let page_of pa = Int64.logand pa (Int64.lognot 0xFFFL)
 

@@ -19,8 +19,9 @@ open Riscv
 
 type t = {
   m : Mach.t;
-  caches : block array array;  (** U / S / M partitions, direct-mapped *)
-  page_index : (int64, (int * int) list) Hashtbl.t;
+  mutable caches : block array array;
+      (** U / S / M partitions, direct-mapped *)
+  mutable page_index : (int64, (int * int) list) Hashtbl.t;
   mutable cur : block;
   mutable cur_ix : int;
   mutable cur_pc : int64;
@@ -106,6 +107,15 @@ val set_mip_bit : t -> int -> bool -> unit
 
 val memories : t -> Memory.t list
 (** The COW memories this REF owns (for LightSSS snapshots). *)
+
+val detach_derived : t -> unit -> unit
+(** Swap the uop cache (block cache, page index, cursor) out for empty
+    placeholders, so a LightSSS image leaves it out; the returned
+    function puts it back. *)
+
+val rebuild_derived : t -> unit
+(** Install a flushed uop cache in a copy restored from an image taken
+    under {!detach_derived}. *)
 
 (** {1 Execution} *)
 

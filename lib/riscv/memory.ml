@@ -1,78 +1,34 @@
-(* Paged physical memory with copy-on-write snapshots.
+(* Paged physical memory: byte-addressed accessors over a
+   {!Cow_store}.
 
-   This is the software analogue of a Linux process address space: a
-   snapshot copies only the page table (like [fork] copying the PCB and
-   page tables) and marks every page shared; the first write to a
-   shared page copies it (a COW fault).  LightSSS builds its
-   fork()-style snapshots on top of this module, and the SSS baseline
-   deliberately bypasses it with a full image copy.
+   The store supplies the pages, their lazy allocation, copy-on-write
+   snapshots and the last-page caches; this module adds the physical
+   base address, bounds checks and the access widths.  LightSSS
+   snapshots the store together with every other COW store of the
+   simulator, and the SSS baseline deliberately bypasses it with a full
+   image copy.
 
-   Pages are allocated lazily: a page that has never been written reads
-   as zero and costs nothing to snapshot.
+   The common widths go through [Bytes.get/set_int64_le]-family
+   primitives on a single page rather than byte-at-a-time assembly
+   (the interpreter engines' memory fast path); accesses that straddle
+   a page fall back to byte-by-byte. *)
 
-   The access paths are the interpreter engines' memory fast path: the
-   common widths go through [Bytes.get/set_int64_le]-family primitives
-   rather than byte-at-a-time assembly, and a one-entry last-page cache
-   (separate for reads and writes) skips the page-table indexing on
-   sequential access.  The caches are invalidated whenever the page
-   array or a page's backing store changes (COW, snapshot restore). *)
+type t = { base : int64; (* physical base address *) store : Cow_store.t }
 
-type page = { mutable data : Bytes.t; mutable rc : int }
+let page_size = Cow_store.page_size
 
-type t = {
-  base : int64; (* physical base address *)
-  page_bits : int;
-  n_pages : int;
-  mutable pages : page option array;
-  zero : Bytes.t; (* shared read view of never-written pages *)
-  (* last-page caches: [cache_*_idx] = -1 when invalid *)
-  mutable cache_r_idx : int;
-  mutable cache_r_data : Bytes.t;
-  mutable cache_w_idx : int;
-  mutable cache_w_data : Bytes.t;
-  (* statistics *)
-  mutable stat_cow_faults : int;
-  mutable stat_pages_allocated : int;
-  mutable stat_snapshots : int;
-}
+let page_mask = page_size - 1
 
-type snapshot = { snap_pages : page option array }
+let create ~base ~size () = { base; store = Cow_store.create ~size }
 
-let page_size t = 1 lsl t.page_bits
-
-let create ?(page_bits = 12) ~base ~size () =
-  let psz = 1 lsl page_bits in
-  let n_pages = (size + psz - 1) / psz in
-  {
-    base;
-    page_bits;
-    n_pages;
-    pages = Array.make n_pages None;
-    zero = Bytes.make psz '\000';
-    cache_r_idx = -1;
-    cache_r_data = Bytes.empty;
-    cache_w_idx = -1;
-    cache_w_data = Bytes.empty;
-    stat_cow_faults = 0;
-    stat_pages_allocated = 0;
-    stat_snapshots = 0;
-  }
-
-let size t = t.n_pages * page_size t
+(* inline, not a call: every bounds check reads it *)
+let[@inline] size t = t.store.Cow_store.n_pages lsl Cow_store.page_bits
 
 let base t = t.base
 
 let in_range t addr =
   let off = Int64.sub addr t.base in
   off >= 0L && off < Int64.of_int (size t)
-
-(* Also drops the [Bytes.t] references so a detached [t] (LightSSS
-   marshalling) does not smuggle page data into the image. *)
-let invalidate_caches t =
-  t.cache_r_idx <- -1;
-  t.cache_r_data <- Bytes.empty;
-  t.cache_w_idx <- -1;
-  t.cache_w_data <- Bytes.empty
 
 let offset_exn t addr =
   let off = Int64.to_int (Int64.sub addr t.base) in
@@ -81,64 +37,23 @@ let offset_exn t addr =
       (Printf.sprintf "Memory: physical address 0x%Lx out of range" addr);
   off
 
-(* Read path: never allocates.  Unallocated pages read from the shared
-   zero page (which is never cached nor written). *)
-let read_page t idx =
-  if idx = t.cache_r_idx then t.cache_r_data
-  else
-    match Array.unsafe_get t.pages idx with
-    | Some p ->
-        t.cache_r_idx <- idx;
-        t.cache_r_data <- p.data;
-        p.data
-    | None -> t.zero
+let[@inline] read_page t idx = Cow_store.read_page t.store idx
 
-(* Write path: allocate on demand and resolve COW sharing. *)
-let page_rw t idx =
-  match t.pages.(idx) with
-  | None ->
-      let p = { data = Bytes.make (page_size t) '\000'; rc = 1 } in
-      t.pages.(idx) <- Some p;
-      t.stat_pages_allocated <- t.stat_pages_allocated + 1;
-      p
-  | Some p ->
-      if p.rc > 1 then begin
-        let fresh = { data = Bytes.copy p.data; rc = 1 } in
-        p.rc <- p.rc - 1;
-        t.pages.(idx) <- Some fresh;
-        t.stat_cow_faults <- t.stat_cow_faults + 1;
-        (* the old bytes stop receiving writes: drop any cached view *)
-        if t.cache_r_idx = idx then t.cache_r_idx <- -1;
-        fresh
-      end
-      else p
-
-let write_page t idx =
-  if idx = t.cache_w_idx then t.cache_w_data
-  else begin
-    let p = page_rw t idx in
-    t.cache_w_idx <- idx;
-    t.cache_w_data <- p.data;
-    p.data
-  end
+let[@inline] write_page t idx = Cow_store.write_page t.store idx
 
 let read_u8 t addr =
   let off = offset_exn t addr in
   Char.code
     (Bytes.unsafe_get
-       (read_page t (off lsr t.page_bits))
-       (off land (page_size t - 1)))
+       (read_page t (off lsr Cow_store.page_bits))
+       (off land page_mask))
 
 let write_u8 t addr v =
   let off = offset_exn t addr in
   Bytes.unsafe_set
-    (write_page t (off lsr t.page_bits))
-    (off land (page_size t - 1))
+    (write_page t (off lsr Cow_store.page_bits))
+    (off land page_mask)
     (Char.chr (v land 0xFF))
-
-(* Single-page fast paths for the common widths (a naturally aligned
-   access never straddles a page); accesses that do straddle fall back
-   to byte-by-byte. *)
 
 let read_bytes_slow t addr n =
   let rec go acc i =
@@ -161,47 +76,50 @@ let write_bytes_slow t addr n v =
 
 let read_u64 t addr =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 8 <= page_size t then
-    Bytes.get_int64_le (read_page t (off lsr t.page_bits)) poff
+  let poff = off land page_mask in
+  if poff + 8 <= page_size then
+    Bytes.get_int64_le (read_page t (off lsr Cow_store.page_bits)) poff
   else read_bytes_slow t addr 8
 
 let read_u32 t addr =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 4 <= page_size t then
-    Int32.to_int (Bytes.get_int32_le (read_page t (off lsr t.page_bits)) poff)
+  let poff = off land page_mask in
+  if poff + 4 <= page_size then
+    Int32.to_int
+      (Bytes.get_int32_le (read_page t (off lsr Cow_store.page_bits)) poff)
     land 0xFFFFFFFF
   else Int64.to_int (read_bytes_slow t addr 4)
 
 let read_u16 t addr =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 2 <= page_size t then
-    Bytes.get_uint16_le (read_page t (off lsr t.page_bits)) poff
+  let poff = off land page_mask in
+  if poff + 2 <= page_size then
+    Bytes.get_uint16_le (read_page t (off lsr Cow_store.page_bits)) poff
   else Int64.to_int (read_bytes_slow t addr 2)
 
 let write_u64 t addr v =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 8 <= page_size t then
-    Bytes.set_int64_le (write_page t (off lsr t.page_bits)) poff v
+  let poff = off land page_mask in
+  if poff + 8 <= page_size then
+    Bytes.set_int64_le (write_page t (off lsr Cow_store.page_bits)) poff v
   else write_bytes_slow t addr 8 v
 
 let write_u32 t addr v =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 4 <= page_size t then
+  let poff = off land page_mask in
+  if poff + 4 <= page_size then
     Bytes.set_int32_le
-      (write_page t (off lsr t.page_bits))
+      (write_page t (off lsr Cow_store.page_bits))
       poff (Int32.of_int v)
   else write_bytes_slow t addr 4 (Int64.of_int (v land 0xFFFFFFFF))
 
 let write_u16 t addr v =
   let off = offset_exn t addr in
-  let poff = off land (page_size t - 1) in
-  if poff + 2 <= page_size t then
-    Bytes.set_uint16_le (write_page t (off lsr t.page_bits)) poff (v land 0xFFFF)
+  let poff = off land page_mask in
+  if poff + 2 <= page_size then
+    Bytes.set_uint16_le
+      (write_page t (off lsr Cow_store.page_bits))
+      poff (v land 0xFFFF)
   else write_bytes_slow t addr 2 (Int64.of_int (v land 0xFFFF))
 
 let read_bytes_le t addr n =
@@ -232,54 +150,22 @@ let load_program t ~addr (words : int32 array) =
         (Int32.to_int w land 0xFFFFFFFF))
     words
 
-(* --- Snapshots ------------------------------------------------------ *)
+let snapshot t = Cow_store.snapshot t.store
 
-let snapshot t =
-  Array.iter (function Some p -> p.rc <- p.rc + 1 | None -> ()) t.pages;
-  t.stat_snapshots <- t.stat_snapshots + 1;
-  (* shared pages must COW on the next write *)
-  t.cache_w_idx <- -1;
-  { snap_pages = Array.copy t.pages }
+let restore t s = Cow_store.restore t.store s
 
-let release_snapshot (s : snapshot) =
-  Array.iter (function Some p -> p.rc <- p.rc - 1 | None -> ()) s.snap_pages
+let release_snapshot = Cow_store.release
 
-let restore t (s : snapshot) =
-  (* The snapshot keeps its reference so it can be restored again. *)
-  Array.iter (function Some p -> p.rc <- p.rc - 1 | None -> ()) t.pages;
-  Array.iter (function Some p -> p.rc <- p.rc + 1 | None -> ()) s.snap_pages;
-  t.pages <- Array.copy s.snap_pages;
-  invalidate_caches t
+let deep_copy t = { t with store = Cow_store.deep_copy t.store }
 
-(* Full deep copy: the SSS baseline. O(memory) rather than O(page table). *)
-let deep_copy t =
-  {
-    t with
-    pages =
-      Array.map
-        (function
-          | None -> None
-          | Some p -> Some { data = Bytes.copy p.data; rc = 1 })
-        t.pages;
-    cache_r_idx = -1;
-    cache_r_data = Bytes.empty;
-    cache_w_idx = -1;
-    cache_w_data = Bytes.empty;
-  }
+let allocated_pages t = Cow_store.allocated_pages t.store
 
-let allocated_pages t =
-  Array.fold_left (fun n p -> match p with Some _ -> n + 1 | None -> n) 0 t.pages
+type stats = Cow_store.stats = {
+  cow_faults : int;
+  pages_allocated : int;
+  snapshots : int;
+}
 
-type stats = { cow_faults : int; pages_allocated : int; snapshots : int }
+let stats t = Cow_store.stats t.store
 
-let stats t =
-  {
-    cow_faults = t.stat_cow_faults;
-    pages_allocated = t.stat_pages_allocated;
-    snapshots = t.stat_snapshots;
-  }
-
-let reset_stats t =
-  t.stat_cow_faults <- 0;
-  t.stat_pages_allocated <- 0;
-  t.stat_snapshots <- 0
+let reset_stats t = Cow_store.reset_stats t.store

@@ -1,57 +1,28 @@
-(** Paged physical memory with copy-on-write snapshots.
+(** Paged physical memory: byte-addressed accessors over a
+    {!Cow_store}.
 
-    The software analogue of a Linux process address space: a snapshot
-    copies only the page table (like [fork] copying the PCB and page
-    tables) and marks every page shared; the first write to a shared
-    page performs a lazy copy (a COW fault, counted in {!stats}).
-    LightSSS builds its fork-style snapshots on this module; the SSS
-    baseline deliberately deep-copies instead.
-
-    Pages are allocated lazily: memory that has never been written
-    reads as zero and costs nothing to snapshot.
+    The store supplies the pages, their lazy allocation (never-written
+    memory reads as zero), copy-on-write snapshots and the last-page
+    caches; this module adds the physical base address, bounds checks
+    and the access widths.  LightSSS snapshots [store] together with
+    every other COW store of the simulator; the SSS baseline
+    deliberately deep-copies instead.
 
     Common-width accesses resolve to a single
     [Bytes.get/set_int64_le]-family primitive on the page's backing
-    store, with a one-entry last-page cache (separate read/write) that
-    skips page-table indexing on sequential access.
+    store.  The representation is exposed so interpreter fast paths can
+    probe the store's last-page caches inline. *)
 
-    The representation is exposed because LightSSS detaches/reattaches
-    the page array around marshalling; treat the fields as read-only
-    elsewhere. *)
+type t = { base : int64; store : Cow_store.t }
 
-type page = { mutable data : Bytes.t; mutable rc : int }
-
-type t = {
-  base : int64;
-  page_bits : int;
-  n_pages : int;
-  mutable pages : page option array;
-  zero : Bytes.t;
-  mutable cache_r_idx : int;
-  mutable cache_r_data : Bytes.t;
-  mutable cache_w_idx : int;
-  mutable cache_w_data : Bytes.t;
-  mutable stat_cow_faults : int;
-  mutable stat_pages_allocated : int;
-  mutable stat_snapshots : int;
-}
-
-type snapshot
-
-val create : ?page_bits:int -> base:int64 -> size:int -> unit -> t
-(** [page_bits] defaults to 12 (4 KiB pages). *)
+val create : base:int64 -> size:int -> unit -> t
+(** 4 KiB pages ({!Cow_store.page_bits}). *)
 
 val size : t -> int
 
 val base : t -> int64
 
 val in_range : t -> int64 -> bool
-
-val page_size : t -> int
-
-val invalidate_caches : t -> unit
-(** Drop the last-page caches.  Required after mutating [pages] or a
-    page's [data] field directly (LightSSS detach/reattach). *)
 
 (** {1 Access}
 
@@ -68,15 +39,12 @@ val read_u64 : t -> int64 -> int64
 val write_u64 : t -> int64 -> int64 -> unit
 
 val read_page : t -> int -> Bytes.t
-(** [read_page t idx] is page [idx]'s backing store for reading (the
-    shared zero page if unallocated), refreshing the read cache.
-    Exported so interpreter fast paths can probe
-    [cache_r_idx]/[cache_r_data] inline and only call out on a miss. *)
+(** [read_page t idx] is {!Cow_store.read_page} on the store.
+    Interpreter fast paths probe [store.cache_r_idx]/[cache_r_data]
+    inline and only call this on a miss. *)
 
 val write_page : t -> int -> Bytes.t
-(** [write_page t idx] is page [idx]'s backing store for writing,
-    allocating / COW-resolving on demand and refreshing the write
-    cache. *)
+(** {!Cow_store.write_page} on the store. *)
 
 val read_bytes_le : t -> int64 -> int -> int64
 (** [read_bytes_le t addr n] reads [n] (<= 8) bytes. *)
@@ -85,26 +53,24 @@ val write_bytes_le : t -> int64 -> int -> int64 -> unit
 
 val load_program : t -> addr:int64 -> int32 array -> unit
 
-(** {1 Snapshots} *)
+(** {1 Snapshots and statistics}
 
-val snapshot : t -> snapshot
-(** O(page-table): copies the page array and bumps refcounts. *)
+    The store's, re-exported for callers holding a memory. *)
 
-val restore : t -> snapshot -> unit
-(** Point [t] back at the snapshot's pages.  The snapshot remains
-    valid and can be restored again. *)
-
-val release_snapshot : snapshot -> unit
-(** Drop the snapshot's page references. *)
+val snapshot : t -> Cow_store.snapshot
+val restore : t -> Cow_store.snapshot -> unit
+val release_snapshot : Cow_store.snapshot -> unit
 
 val deep_copy : t -> t
 (** O(memory): the SSS baseline. *)
 
-(** {1 Statistics} *)
-
 val allocated_pages : t -> int
 
-type stats = { cow_faults : int; pages_allocated : int; snapshots : int }
+type stats = Cow_store.stats = {
+  cow_faults : int;
+  pages_allocated : int;
+  snapshots : int;
+}
 
 val stats : t -> stats
 

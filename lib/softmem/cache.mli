@@ -15,15 +15,6 @@
     Concurrency across misses is modelled by the LSU keeping several
     transactions in flight with independent completion times. *)
 
-type line = {
-  mutable tag : int64;
-  mutable perm : Perm.t;
-  mutable sharers : int;
-  mutable owner : int;
-  mutable last_use : int;
-  mutable inflight_until : int;
-}
-
 type parent = Dram of Dram.t | Cache of t
 
 and t = {
@@ -32,7 +23,12 @@ and t = {
   ways : int;
   line_shift : int;
   hit_latency : int;
-  lines : line array;
+  meta : Riscv.Cow_store.t;
+      (** line metadata (tag, permission, sharers, owner, LRU stamp,
+          fill window), set-major and struct-of-arrays, all-zero = an
+          invalid line; a COW store so LightSSS snapshots it by page
+          table *)
+  set_shift : int;  (** log2 of a set's byte stride in [meta] *)
   mutable parent : parent;
   mutable children : t array;
   mutable child_id : int;

@@ -43,6 +43,13 @@ let entry t addr =
       Hashtbl.replace t.blocks addr e;
       e
 
+(* A block no child holds reads the same as an absent one, so dropping
+   it keeps the table bounded by what the children hold, not by every
+   block ever touched (it rides in every LightSSS image). *)
+let forget_if_free t addr (e : entry) =
+  if Array.for_all (fun p -> p = Perm.Nothing) e.perms then
+    Hashtbl.remove t.blocks addr
+
 let violate t ~cycle ~addr msg =
   t.violations <- { v_cycle = cycle; v_addr = addr; v_msg = msg } :: t.violations
 
@@ -91,10 +98,12 @@ let observe (t : t) (ev : Event.t) =
           | Perm.Branch ->
               if Perm.rank e.perms.(child) > Perm.rank Perm.Branch then
                 e.perms.(child) <- Perm.Branch
-          | Perm.Trunk -> ())
+          | Perm.Trunk -> ());
+          forget_if_free t ev.addr e
       | Perm.Release ->
           let e = entry t ev.addr in
-          e.perms.(child) <- Perm.Nothing
+          e.perms.(child) <- Perm.Nothing;
+          forget_if_free t ev.addr e
       | Perm.Acquire _ | Perm.Grant _ | Perm.Probe _ -> ()
     end
   end

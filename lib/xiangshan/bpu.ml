@@ -6,24 +6,27 @@
    used by the PUBS issue policy (§IV-D): a branch is "unconfident"
    until it has accumulated a run of correct predictions. *)
 
-type btb_entry = { mutable b_tag : int64; mutable b_target : int64 }
-
-type tage_entry = {
-  mutable t_tag : int;
-  mutable t_ctr : int; (* signed, -4..3; >= 0 predicts taken *)
-  mutable t_useful : int;
-}
+module Cow = Riscv.Cow_store
 
 type t = {
-  (* BTB: direct-mapped over sets, 2-way *)
-  btb : btb_entry array;
+  (* The tables live in one COW store so LightSSS snapshots them by
+     page table; the int fields below are their byte offsets in it.
+     All-zero is the reset state: target-table tags are stored as
+     [pc + 1] and TAGE tags as [tag + 1] (0 = invalid), bimodal
+     counters as [c - 1] (reset 1). *)
+  store : Cow.t;
+  (* target tables (BTB 2-way over sets, uBTB, ITTAGE-lite): 16 bytes
+     per entry, the tag word then the target word *)
+  btb : int;
   btb_sets : int;
-  ubtb : btb_entry array;
+  ubtb : int;
   ubtb_size : int;
-  (* TAGE *)
-  bimodal : int array; (* 2-bit counters *)
+  (* TAGE: bimodal 2-bit counters, then 4 tagged tables of 24-byte
+     entries (tag, signed ctr -4..3 with >= 0 predicting taken,
+     useful) *)
+  bimodal : int;
   bimodal_size : int;
-  tage : tage_entry array array; (* 4 tables *)
+  tage : int;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64; (* global history, newest bit at LSB *)
@@ -32,12 +35,11 @@ type t = {
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int; (* live entries, saturating at ras_size *)
-  (* ITTAGE-lite *)
-  ittage : btb_entry array;
+  ittage : int;
   ittage_size : int;
   use_ittage : bool;
-  (* PUBS confidence *)
-  conf : int array; (* per-pc run counters *)
+  (* PUBS confidence: per-pc run counters *)
+  conf : int;
   conf_size : int;
   (* stats *)
   mutable lookups : int;
@@ -61,18 +63,23 @@ type t = {
 let create (cfg : Config.t) : t =
   let btb_sets = max 16 (cfg.btb_entries / 2) in
   let tage_size = max 64 cfg.tage_entries in
+  let ittage_size = max 16 (cfg.btb_entries / 4) in
+  let bimodal_size = 4096 and conf_size = 1024 in
+  let btb = 0 in
+  let ubtb = btb + (btb_sets * 2 * 16) in
+  let ittage = ubtb + (cfg.ubtb_entries * 16) in
+  let bimodal = ittage + (ittage_size * 16) in
+  let tage = bimodal + (bimodal_size * 8) in
+  let conf = tage + (4 * tage_size * 24) in
   {
-    btb =
-      Array.init (btb_sets * 2) (fun _ -> { b_tag = -1L; b_target = 0L });
+    store = Cow.create ~size:(conf + (conf_size * 8));
+    btb;
     btb_sets;
-    ubtb = Array.init cfg.ubtb_entries (fun _ -> { b_tag = -1L; b_target = 0L });
+    ubtb;
     ubtb_size = cfg.ubtb_entries;
-    bimodal = Array.make 4096 1;
-    bimodal_size = 4096;
-    tage =
-      Array.init 4 (fun _ ->
-          Array.init tage_size (fun _ ->
-              { t_tag = -1; t_ctr = 0; t_useful = 0 }));
+    bimodal;
+    bimodal_size;
+    tage;
     tage_size;
     hist_lens = [| 8; 16; 32; 60 |];
     ghist = 0L;
@@ -80,13 +87,11 @@ let create (cfg : Config.t) : t =
     ras_top = 0;
     ras_size = cfg.ras_size;
     ras_depth = 0;
-    ittage =
-      Array.init (max 16 (cfg.btb_entries / 4)) (fun _ ->
-          { b_tag = -1L; b_target = 0L });
-    ittage_size = max 16 (cfg.btb_entries / 4);
+    ittage;
+    ittage_size;
     use_ittage = cfg.ittage;
-    conf = Array.make 1024 0;
-    conf_size = 1024;
+    conf;
+    conf_size;
     lookups = 0;
     cond_branches = 0;
     mispredicts = 0;
@@ -101,6 +106,36 @@ let create (cfg : Config.t) : t =
     ras_overflows = 0;
     ras_underflows = 0;
   }
+
+(* Target-table entry [i] of the table at [base]. *)
+let entry base i = base + (i lsl 4)
+let tag_is t e pc = Int64.equal (Cow.get_int64 t.store e) (Int64.succ pc)
+let is_free t e = Int64.equal (Cow.get_int64 t.store e) 0L
+let target t e = Cow.get_int64 t.store (e + 8)
+let set_target t e v = Cow.set_int64 t.store (e + 8) v
+
+let set_entry t e ~tag ~target =
+  Cow.set_int64 t.store e (Int64.succ tag);
+  set_target t e target
+
+(* Copy entry [src] over entry [dst]. *)
+let move_entry t ~src ~dst =
+  Cow.set_int64 t.store dst (Cow.get_int64 t.store src);
+  set_target t dst (target t src)
+
+(* TAGE entry fields. *)
+let tage_entry t table i = t.tage + (((table * t.tage_size) + i) * 24)
+let t_tag t e = Cow.get_int t.store e - 1
+let t_ctr t e = Cow.get_int t.store (e + 8)
+let t_useful t e = Cow.get_int t.store (e + 16)
+let set_t_tag t e v = Cow.set_int t.store e (v + 1)
+let set_t_ctr t e v = Cow.set_int t.store (e + 8) v
+let set_t_useful t e v = Cow.set_int t.store (e + 16) v
+
+let bimodal_ctr t i = Cow.get_int t.store (t.bimodal + (i lsl 3)) + 1
+let set_bimodal_ctr t i v = Cow.set_int t.store (t.bimodal + (i lsl 3)) (v - 1)
+let conf_run t i = Cow.get_int t.store (t.conf + (i lsl 3))
+let set_conf_run t i v = Cow.set_int t.store (t.conf + (i lsl 3)) v
 
 let pc_bits pc = Int64.to_int (Int64.shift_right_logical pc 2)
 
@@ -121,44 +156,39 @@ let tage_tag t table pc =
    tagged table wins, else the bimodal base predictor. *)
 let predict_direction t pc : bool * int =
   let provider = ref (-1) in
-  let pred = ref (t.bimodal.(pc_bits pc land (t.bimodal_size - 1)) >= 2) in
+  let pred = ref (bimodal_ctr t (pc_bits pc land (t.bimodal_size - 1)) >= 2) in
   for table = 0 to 3 do
-    let e = t.tage.(table).(tage_index t table pc) in
-    if e.t_tag = tage_tag t table pc then begin
+    let e = tage_entry t table (tage_index t table pc) in
+    if t_tag t e = tage_tag t table pc then begin
       provider := table;
-      pred := e.t_ctr >= 0
+      pred := t_ctr t e >= 0
     end
   done;
   (!pred, !provider)
 
 let btb_lookup t pc : int64 option =
   (* micro-BTB first *)
-  let u = t.ubtb.(pc_bits pc land (t.ubtb_size - 1)) in
-  if u.b_tag = pc then Some u.b_target
+  let u = entry t.ubtb (pc_bits pc land (t.ubtb_size - 1)) in
+  if tag_is t u pc then Some (target t u)
   else
     let set = pc_bits pc land (t.btb_sets - 1) in
-    let e0 = t.btb.(set * 2) and e1 = t.btb.((set * 2) + 1) in
-    if e0.b_tag = pc then Some e0.b_target
-    else if e1.b_tag = pc then Some e1.b_target
+    let e0 = entry t.btb (set * 2) and e1 = entry t.btb ((set * 2) + 1) in
+    if tag_is t e0 pc then Some (target t e0)
+    else if tag_is t e1 pc then Some (target t e1)
     else None
 
-let btb_update t pc target =
-  let u = t.ubtb.(pc_bits pc land (t.ubtb_size - 1)) in
-  u.b_tag <- pc;
-  u.b_target <- target;
+let btb_update t pc tg =
+  set_entry t
+    (entry t.ubtb (pc_bits pc land (t.ubtb_size - 1)))
+    ~tag:pc ~target:tg;
   let set = pc_bits pc land (t.btb_sets - 1) in
-  let e0 = t.btb.(set * 2) and e1 = t.btb.((set * 2) + 1) in
-  if e0.b_tag = pc then e0.b_target <- target
-  else if e1.b_tag = pc then e1.b_target <- target
-  else if e0.b_tag = -1L then begin
-    e0.b_tag <- pc;
-    e0.b_target <- target
-  end
+  let e0 = entry t.btb (set * 2) and e1 = entry t.btb ((set * 2) + 1) in
+  if tag_is t e0 pc then set_target t e0 tg
+  else if tag_is t e1 pc then set_target t e1 tg
+  else if is_free t e0 then set_entry t e0 ~tag:pc ~target:tg
   else begin
-    e1.b_tag <- e0.b_tag;
-    e1.b_target <- e0.b_target;
-    e0.b_tag <- pc;
-    e0.b_target <- target
+    move_entry t ~src:e0 ~dst:e1;
+    set_entry t e0 ~tag:pc ~target:tg
   end
 
 (* The stack is circular and never refuses a push: on overflow the
@@ -223,8 +253,8 @@ let predict (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) : prediction =
             let idx =
               (pc_bits pc lxor hist_fold t 24) land (t.ittage_size - 1)
             in
-            let e = t.ittage.(idx) in
-            if e.b_tag = pc then Some e.b_target else btb_lookup t pc
+            let e = entry t.ittage idx in
+            if tag_is t e pc then Some (target t e) else btb_lookup t pc
           end
           else btb_lookup t pc
         in
@@ -253,35 +283,34 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
   end;
   (* confidence table for PUBS *)
   let ci = pc_bits pc land (t.conf_size - 1) in
-  if mispredicted then t.conf.(ci) <- 0
-  else if t.conf.(ci) < 64 then t.conf.(ci) <- t.conf.(ci) + 1;
+  if mispredicted then set_conf_run t ci 0
+  else if conf_run t ci < 64 then set_conf_run t ci (conf_run t ci + 1);
   (match insn with
   | Branch _ ->
       (* bimodal *)
       let bi = pc_bits pc land (t.bimodal_size - 1) in
-      let c = t.bimodal.(bi) in
-      t.bimodal.(bi) <-
-        (if taken then min 3 (c + 1) else max 0 (c - 1));
+      let c = bimodal_ctr t bi in
+      set_bimodal_ctr t bi (if taken then min 3 (c + 1) else max 0 (c - 1));
       (* tage provider update + allocation on mispredict *)
       let _, provider = predict_direction t pc in
       if provider >= 0 then begin
-        let e = t.tage.(provider).(tage_index t provider pc) in
-        e.t_ctr <-
-          (if taken then min 3 (e.t_ctr + 1) else max (-4) (e.t_ctr - 1));
-        if not mispredicted then e.t_useful <- min 3 (e.t_useful + 1)
+        let e = tage_entry t provider (tage_index t provider pc) in
+        let c = t_ctr t e in
+        set_t_ctr t e (if taken then min 3 (c + 1) else max (-4) (c - 1));
+        if not mispredicted then set_t_useful t e (min 3 (t_useful t e + 1))
       end;
       if mispredicted then begin
         (* allocate in a longer-history table *)
         let start = provider + 1 in
         (try
            for table = start to 3 do
-             let e = t.tage.(table).(tage_index t table pc) in
-             if e.t_useful = 0 then begin
-               e.t_tag <- tage_tag t table pc;
-               e.t_ctr <- (if taken then 0 else -1);
+             let e = tage_entry t table (tage_index t table pc) in
+             if t_useful t e = 0 then begin
+               set_t_tag t e (tage_tag t table pc);
+               set_t_ctr t e (if taken then 0 else -1);
                raise Exit
              end
-             else e.t_useful <- e.t_useful - 1
+             else set_t_useful t e (t_useful t e - 1)
            done
          with Exit -> ())
       end;
@@ -296,9 +325,7 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
         btb_update t pc target;
         if t.use_ittage then begin
           let idx = (pc_bits pc lxor hist_fold t 24) land (t.ittage_size - 1) in
-          let e = t.ittage.(idx) in
-          e.b_tag <- pc;
-          e.b_target <- target
+          set_entry t (entry t.ittage idx) ~tag:pc ~target
         end
       end
   | Lui _ | Auipc _ | Load _ | Store _ | Op_imm _ | Op_imm_w _ | Op _
@@ -320,21 +347,24 @@ let update (t : t) ~(pc : int64) ~(insn : Riscv.Insn.t) ~(taken : bool)
    commits.  Returns the number of entries corrupted. *)
 let corrupt_targets (t : t) : int =
   let n = ref 0 in
-  let corrupt (e : btb_entry) =
-    if e.b_tag <> -1L then begin
-      e.b_target <- Int64.logxor e.b_target 8L;
-      incr n
-    end
+  let corrupt base size =
+    for i = 0 to size - 1 do
+      let e = entry base i in
+      if not (is_free t e) then begin
+        set_target t e (Int64.logxor (target t e) 8L);
+        incr n
+      end
+    done
   in
-  Array.iter corrupt t.btb;
-  Array.iter corrupt t.ubtb;
-  Array.iter corrupt t.ittage;
+  corrupt t.btb (t.btb_sets * 2);
+  corrupt t.ubtb t.ubtb_size;
+  corrupt t.ittage t.ittage_size;
   !n
 
 (* Low-confidence query for PUBS: a branch is unconfident until it has
    a run of >= 4 correct predictions (paper: ~5.9% of instructions end
    up high-priority on sjeng). *)
-let unconfident (t : t) ~pc = t.conf.(pc_bits pc land (t.conf_size - 1)) < 4
+let unconfident (t : t) ~pc = conf_run t (pc_bits pc land (t.conf_size - 1)) < 4
 
 let mpki t ~instructions =
   if instructions = 0 then 0.0

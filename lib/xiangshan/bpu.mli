@@ -4,13 +4,17 @@
     by the PUBS issue policy (paper §IV-D). *)
 
 type t = {
-  btb : btb_entry array;
+  store : Riscv.Cow_store.t;
+      (** the BTB, uBTB, ITTAGE, bimodal, TAGE and confidence tables,
+          all-zero = reset; a COW store so LightSSS snapshots them by
+          page table *)
+  btb : int;  (** byte offsets of the tables in [store] ... *)
   btb_sets : int;
-  ubtb : btb_entry array;
+  ubtb : int;
   ubtb_size : int;
-  bimodal : int array;
+  bimodal : int;
   bimodal_size : int;
-  tage : tage_entry array array;
+  tage : int;
   tage_size : int;
   hist_lens : int array;
   mutable ghist : int64;
@@ -18,10 +22,10 @@ type t = {
   mutable ras_top : int;
   ras_size : int;
   mutable ras_depth : int;
-  ittage : btb_entry array;
+  ittage : int;
   ittage_size : int;
   use_ittage : bool;
-  conf : int array;
+  conf : int;  (** ... and their sizes in entries *)
   conf_size : int;
   mutable lookups : int;
   mutable cond_branches : int;
@@ -36,14 +40,6 @@ type t = {
   mutable ras_pops : int;
   mutable ras_overflows : int;
   mutable ras_underflows : int;
-}
-
-and btb_entry = { mutable b_tag : int64; mutable b_target : int64 }
-
-and tage_entry = {
-  mutable t_tag : int;
-  mutable t_ctr : int;
-  mutable t_useful : int;
 }
 
 val create : Config.t -> t

@@ -91,6 +91,21 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
     cores;
   t
 
+(* Every COW store of the SoC, in a fixed order: physical memory, the
+   cache tree's line metadata (depth-first from the outermost level),
+   then per hart its predictor and TLB tables. *)
+let cow_stores (t : t) : Riscv.Cow_store.t list =
+  let caches = ref [] in
+  let collect node =
+    Softmem.Cache.iter_tree node (fun n ->
+        caches := n.Softmem.Cache.meta :: !caches)
+  in
+  (match t.l3 with Some l3 -> collect l3 | None -> Array.iter collect t.l2s);
+  (t.plat.Platform.mem.Memory.store :: List.rev !caches)
+  @ List.concat_map
+      (fun (c : Core.t) -> c.Core.bpu.Bpu.store :: Tlb.stores c.Core.tlb)
+      (Array.to_list t.cores)
+
 (* Install an event sink on every cache node. *)
 let set_event_sink (t : t) (sink : Softmem.Event.sink) =
   t.event_sink <- sink;

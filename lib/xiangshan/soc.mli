@@ -22,6 +22,12 @@ type t = {
 
 val create : ?dram_size:int -> Config.t -> t
 
+val cow_stores : t -> Riscv.Cow_store.t list
+(** Every COW store of the SoC in a fixed order: physical memory, each
+    cache node's line metadata (depth-first from the outermost level),
+    then per hart the predictor tables and the TLB entry arrays.  This
+    is the SoC's part of the enumeration LightSSS snapshots. *)
+
 val set_event_sink : t -> Softmem.Event.sink -> unit
 (** Install a coherence-event sink on every cache node. *)
 

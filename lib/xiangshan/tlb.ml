@@ -17,46 +17,103 @@ type mapping = {
   pte_flags : int64; (* leaf PTE bits for permission checks *)
 }
 
-type entry = {
-  mutable e_vpn : int64; (* -1 invalid *)
-  mutable e_res : (mapping, unit) result; (* Error () = cached fault *)
-  mutable e_lru : int;
-}
+module Cow = Riscv.Cow_store
 
-type tlb_array = { entries : entry array; mutable clock : int }
+(* A fully associative array of [n] entries in a COW store, so LightSSS
+   snapshots it by page table.  Struct-of-arrays: field [f] of entry
+   [i] is the word at byte [8 * (f * n + i)].  All-zero is an invalid
+   entry: the vpn is stored as [vpn + 1] (0 = invalid) and the result
+   as a kind word (0 = a cached fault, 1 = a mapping) plus the
+   mapping's ppn and PTE flags. *)
+type tlb_array = { store : Cow.t; n : int; mutable clock : int }
 
-let make_array n =
-  {
-    entries = Array.init n (fun _ -> { e_vpn = -1L; e_res = Error (); e_lru = 0 });
-    clock = 0;
-  }
+let f_vpn = 0
+let f_kind = 1
+let f_ppn = 2
+let f_flags = 3
+let f_lru = 4
 
+let make_array n = { store = Cow.create ~size:(5 * n * 8); n; clock = 0 }
+
+let[@inline] word a f i = ((f * a.n) + i) lsl 3
+let get a f i = Cow.get_int64 a.store (word a f i)
+let set a f i v = Cow.set_int64 a.store (word a f i) v
+
+let result a i : (mapping, unit) result =
+  if Int64.equal (get a f_kind i) 0L then Error ()
+  else Ok { ppn = get a f_ppn i; pte_flags = get a f_flags i }
+
+(* Entries [i, i + m) of field [f] lie in one page: that page, the byte
+   offset of entry [i] in it, and [m].  The scans below read each page
+   once instead of resolving every word. *)
+let[@inline] run a f i =
+  let off = word a f i in
+  let p = off land Cow.page_mask in
+  ( Cow.read_page a.store (off lsr Cow.page_bits),
+    p,
+    min (a.n - i) ((Cow.page_size - p) lsr 3) )
+
+let touch a i =
+  a.clock <- a.clock + 1;
+  Cow.set_int a.store (word a f_lru i) a.clock
+
+(* Every matching entry is touched, in index order; the last one
+   answers. *)
 let arr_lookup (a : tlb_array) vpn =
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if e.e_vpn = vpn then begin
-        a.clock <- a.clock + 1;
-        e.e_lru <- a.clock;
-        found := Some e.e_res
-      end)
-    a.entries;
-  !found
+  let key = Int64.succ vpn in
+  let found = ref (-1) and hits = ref 0 and i = ref 0 in
+  while !i < a.n do
+    let d, p, m = run a f_vpn !i in
+    for j = 0 to m - 1 do
+      if Int64.equal (Bytes.get_int64_le d (p + (j lsl 3))) key then begin
+        incr hits;
+        found := !i + j
+      end
+    done;
+    i := !i + m
+  done;
+  if !hits = 0 then None
+  else begin
+    if !hits = 1 then touch a !found
+    else
+      for k = 0 to a.n - 1 do
+        if Int64.equal (get a f_vpn k) key then touch a k
+      done;
+    Some (result a !found)
+  end
 
+(* Replace the least recently used entry (the lowest index on ties). *)
 let arr_insert (a : tlb_array) vpn res =
   a.clock <- a.clock + 1;
-  let victim = ref a.entries.(0) in
-  Array.iter (fun e -> if e.e_lru < !victim.e_lru then victim := e) a.entries;
-  !victim.e_vpn <- vpn;
-  !victim.e_res <- res;
-  !victim.e_lru <- a.clock
+  let victim = ref 0 and oldest = ref max_int and i = ref 0 in
+  while !i < a.n do
+    let d, p, m = run a f_lru !i in
+    for j = 0 to m - 1 do
+      let v = Int64.to_int (Bytes.get_int64_le d (p + (j lsl 3))) in
+      if v < !oldest then begin
+        oldest := v;
+        victim := !i + j
+      end
+    done;
+    i := !i + m
+  done;
+  let i = !victim in
+  set a f_vpn i (Int64.succ vpn);
+  (match res with
+  | Ok m ->
+      set a f_kind i 1L;
+      set a f_ppn i m.ppn;
+      set a f_flags i m.pte_flags
+  | Error () -> set a f_kind i 0L);
+  Cow.set_int a.store (word a f_lru i) a.clock
 
+(* Invalidate every entry, keeping the LRU stamps; pages never written
+   stay unallocated. *)
 let arr_flush (a : tlb_array) =
-  Array.iter
-    (fun e ->
-      e.e_vpn <- -1L;
-      e.e_res <- Error ())
-    a.entries
+  for i = 0 to a.n - 1 do
+    if not (Int64.equal (get a f_vpn i) 0L) then set a f_vpn i 0L;
+    if not (Int64.equal (get a f_kind i) 0L) then set a f_kind i 0L
+  done
 
 type t = {
   itlb : tlb_array;
@@ -98,19 +155,21 @@ let flush t =
 let corrupt_data_ppn (t : t) : int =
   let n = ref 0 in
   let corrupt (a : tlb_array) =
-    Array.iter
-      (fun e ->
-        if e.e_vpn >= 0L then
-          match e.e_res with
-          | Ok m when Int64.logand m.ppn 1L = 0L ->
-              e.e_res <- Ok { m with ppn = Int64.logor m.ppn 1L };
-              incr n
-          | Ok _ | Error () -> ())
-      a.entries
+    for i = 0 to a.n - 1 do
+      if (not (Int64.equal (get a f_vpn i) 0L))
+         && Int64.equal (get a f_kind i) 1L
+         && Int64.logand (get a f_ppn i) 1L = 0L
+      then begin
+        set a f_ppn i (Int64.logor (get a f_ppn i) 1L);
+        incr n
+      end
+    done
   in
   corrupt t.dtlb;
   corrupt t.stlb;
   !n
+
+let stores t = [ t.itlb.store; t.dtlb.store; t.stlb.store ]
 
 type access = Fetch | Load | Store
 

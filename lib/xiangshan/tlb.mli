@@ -9,13 +9,9 @@
 
 type mapping = { ppn : int64; pte_flags : int64 }
 
-type entry = {
-  mutable e_vpn : int64;
-  mutable e_res : (mapping, unit) result; (** [Error ()] = cached fault *)
-  mutable e_lru : int;
-}
-
-type tlb_array = { entries : entry array; mutable clock : int }
+type tlb_array = { store : Riscv.Cow_store.t; n : int; mutable clock : int }
+(** [n] fully associative entries (vpn, result, LRU stamp) in a COW
+    store, struct-of-arrays, all-zero = invalid. *)
 
 type t = {
   itlb : tlb_array;
@@ -30,6 +26,9 @@ type t = {
 }
 
 val create : Config.t -> ptw_port:Softmem.Cache.t -> t
+
+val stores : t -> Riscv.Cow_store.t list
+(** The ITLB, DTLB and STLB entry stores, in that order. *)
 
 val flush : t -> unit
 (** sfence.vma: drop every cached translation, including faults. *)

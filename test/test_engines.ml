@@ -109,9 +109,9 @@ let mem_digest (mem : Riscv.Memory.t) =
       | Some pg ->
           Buffer.add_string buf (string_of_int i);
           Buffer.add_string buf
-            (Digest.to_hex (Digest.bytes pg.Riscv.Memory.data))
+            (Digest.to_hex (Digest.bytes pg.Riscv.Cow_store.data))
       | None -> ())
-    mem.Riscv.Memory.pages;
+    mem.Riscv.Memory.store.Riscv.Cow_store.pages;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let check_same_arch name (ref_m : Nemu.Mach.t) (m : Nemu.Mach.t) =

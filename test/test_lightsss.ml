@@ -1,10 +1,70 @@
 (* LightSSS: snapshot/replay determinism, cost characteristics
    (fork-like vs full-image), and the two-slot manager policy. *)
 
-let make_difftest prog cfg =
+let make_difftest ?ref_kind prog cfg =
   let soc = Xiangshan.Soc.create cfg in
   Xiangshan.Soc.load_program soc prog;
-  Minjie.Difftest.create ~prog soc
+  Minjie.Difftest.create ?ref_kind ~prog soc
+
+let tick_n dt n =
+  for _ = 1 to n do
+    Minjie.Difftest.tick dt
+  done
+
+(* Everything a replay must reproduce: the cycle count, every hart's
+   architectural state and the merged counters. *)
+type observed = {
+  cycle : int;
+  archs : Riscv.Arch_state.t array;
+  counters : (string * int) list;
+}
+
+let observe dt =
+  let soc = Minjie.Difftest.soc dt in
+  {
+    cycle = soc.Xiangshan.Soc.now;
+    archs =
+      Array.map
+        (fun (c : Xiangshan.Core.t) ->
+          Riscv.Arch_state.copy c.Xiangshan.Core.arch)
+        soc.Xiangshan.Soc.cores;
+    counters = Minjie.Workflow.soc_counters soc;
+  }
+
+let check_same what (a : observed) (b : observed) =
+  Alcotest.(check int) (what ^ ": cycle") a.cycle b.cycle;
+  Array.iteri
+    (fun i st ->
+      match Riscv.Arch_state.diff st b.archs.(i) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: hart %d diverged: %s" what i msg)
+    a.archs;
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": counters") a.counters b.counters
+
+(* The content of every COW store, ignoring whether an all-zero page is
+   allocated. *)
+let stores_digest dt =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "|"
+          (List.map
+             (fun (st : Riscv.Cow_store.t) ->
+               let live =
+                 Array.sub st.Riscv.Cow_store.live 0 st.Riscv.Cow_store.n_live
+               in
+               Array.sort compare live;
+               String.concat ","
+                 (Array.to_list
+                    (Array.map
+                       (fun idx ->
+                         let d = Riscv.Cow_store.read_page st idx in
+                         if Bytes.for_all (fun c -> c = '\000') d then ""
+                         else
+                           Printf.sprintf "%d:%s" idx
+                             (Digest.to_hex (Digest.bytes d)))
+                       live)))
+             (Minjie.Workflow.stores_of dt))))
 
 let test_replay_determinism () =
   (* run to cycle A, snapshot, run to B; restore and re-run: the
@@ -39,6 +99,109 @@ let test_replay_determinism () =
   | _ -> ());
   Lightsss.release snap
 
+(* Replay from a snapshot must reproduce the original run exactly over
+   the same window, as often as it is restored, and neither side's
+   table writes may reach the other: the live run's stores are
+   untouched by a replay, and a restored copy starts from the stores as
+   they were at snapshot time, not as the live run left them. *)
+let replay_exactness ~cfg ~prog ~warm ~window () =
+  let dt = make_difftest ~ref_kind:Minjie.Ref_model.Nemu prog cfg in
+  let subject = Minjie.Workflow.subject_of dt in
+  tick_n dt warm;
+  let at_snapshot = stores_digest dt in
+  let snap = Lightsss.snapshot subject ~cycle:warm in
+  Alcotest.(check string) "snapshotting writes nothing" at_snapshot
+    (stores_digest dt);
+  tick_n dt window;
+  let original = observe dt in
+  let live_after = stores_digest dt in
+  Alcotest.(check bool) "the window wrote the stores" true
+    (live_after <> at_snapshot);
+  let replay () =
+    let dt' = Minjie.Workflow.restore_shared dt snap in
+    Alcotest.(check string) "restored stores are the snapshot's" at_snapshot
+      (stores_digest dt');
+    tick_n dt' window;
+    (match Minjie.Difftest.status dt' with
+    | Minjie.Difftest.Failed f -> Alcotest.failf "replay failed: %s" f.f_msg
+    | Minjie.Difftest.Running | Minjie.Difftest.Finished _ -> ());
+    observe dt'
+  in
+  let first = replay () in
+  check_same "replay vs original" original first;
+  Alcotest.(check string) "replay left the live stores alone" live_after
+    (stores_digest dt);
+  check_same "second restore" first (replay ());
+  (* the original instance runs on unaffected *)
+  tick_n dt 500;
+  (match Minjie.Difftest.status dt with
+  | Minjie.Difftest.Failed f -> Alcotest.failf "original failed: %s" f.f_msg
+  | Minjie.Difftest.Running | Minjie.Difftest.Finished _ -> ());
+  Lightsss.release snap
+
+let test_replay_exact_yqh =
+  let mcf = Workloads.Suite.find "mcf_like" in
+  replay_exactness ~cfg:Xiangshan.Config.yqh
+    ~prog:(mcf.program ~scale:mcf.small)
+    ~warm:20_000 ~window:4000
+
+let test_replay_exact_nh =
+  let lrsc = Minjie.Campaign.find_workload "smp_lrsc" in
+  replay_exactness ~cfg:Xiangshan.Config.nh ~prog:(lrsc.program ~scale:32)
+    ~warm:6000 ~window:4000
+
+(* Snapshots are pure observation: taking them every 2000 cycles or
+   (effectively) never must give the same outcome and counters. *)
+let test_snapshot_purity () =
+  let mcf = Workloads.Suite.find "mcf_like" in
+  let lrsc = Minjie.Campaign.find_workload "smp_lrsc" in
+  List.iter
+    (fun (name, cfg, prog, max_cycles) ->
+      let run interval =
+        Minjie.Workflow.run_collect ~snapshot_interval:interval ~max_cycles
+          ~ref_kind:Minjie.Ref_model.Nemu ~prog cfg
+      in
+      let verdict = function
+        | Minjie.Workflow.Verified code, counters -> (code, counters)
+        | Minjie.Workflow.Debugged r, _ ->
+            Alcotest.failf "%s: unexpected failure: %s" name
+              r.first_failure.f_msg
+      in
+      let code, counters = verdict (run 2000) in
+      let code', counters' = verdict (run 1_000_000_000) in
+      Alcotest.(check int) (name ^ ": outcome") code' code;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": counters") counters' counters)
+    [
+      ( "mcf_like/YQH",
+        Xiangshan.Config.yqh,
+        mcf.program ~scale:mcf.small,
+        40_000 );
+      ("smp_lrsc/NH", Xiangshan.Config.nh, lrsc.program ~scale:32, 20_000);
+    ]
+
+let test_restore_store_count_mismatch () =
+  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
+  let dt = make_difftest prog Xiangshan.Config.yqh in
+  tick_n dt 100;
+  let snap = Lightsss.snapshot (Minjie.Workflow.subject_of dt) ~cycle:100 in
+  let n = List.length (Minjie.Workflow.stores_of dt) in
+  (match
+     Lightsss.restore_with snap ~stores_of:(fun dt' ->
+         List.tl (Minjie.Workflow.stores_of dt'))
+   with
+  | _ -> Alcotest.fail "a short store enumeration must be rejected"
+  | exception Invalid_argument msg ->
+      let mentions k =
+        List.mem (string_of_int k)
+          (String.split_on_char ' ' msg)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %d and %d" msg n (n - 1))
+        true
+        (mentions n && mentions (n - 1)));
+  Lightsss.release snap
+
 let test_snapshot_is_lightweight () =
   (* fork-like: the image excludes the memory pages, so its size is
      O(metadata); the SSS baseline includes them *)
@@ -55,6 +218,11 @@ let test_snapshot_is_lightweight () =
        sss_bytes)
     true
     (snap.Lightsss.image_bytes * 2 < sss_bytes);
+  (* cache lines, predictor and TLB tables are COW-paged, not marshalled *)
+  Alcotest.(check bool)
+    (Printf.sprintf "light image %d <= 256 KB" snap.Lightsss.image_bytes)
+    true
+    (snap.Lightsss.image_bytes <= 256 * 1024);
   Lightsss.release snap
 
 let test_two_slot_manager () =
@@ -186,6 +354,14 @@ let tests =
   [
     Alcotest.test_case "snapshot/replay determinism" `Slow
       test_replay_determinism;
+    Alcotest.test_case "replay is exact (mcf_like/YQH)" `Slow
+      test_replay_exact_yqh;
+    Alcotest.test_case "replay is exact (smp_lrsc/NH, 2 harts)" `Slow
+      test_replay_exact_nh;
+    Alcotest.test_case "snapshots do not perturb the run" `Slow
+      test_snapshot_purity;
+    Alcotest.test_case "restore rejects a store-count mismatch" `Quick
+      test_restore_store_count_mismatch;
     Alcotest.test_case "snapshot is fork-like lightweight" `Quick
       test_snapshot_is_lightweight;
     Alcotest.test_case "two-slot manager policy" `Quick test_two_slot_manager;

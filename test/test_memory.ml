@@ -1,5 +1,5 @@
-(* Paged COW memory: read/write semantics, snapshot isolation,
-   fork-like cost characteristics. *)
+(* Paged COW memory and the COW store under it: read/write semantics,
+   snapshot isolation, fork-like cost characteristics. *)
 
 open Riscv
 
@@ -70,6 +70,102 @@ let test_deep_copy_independent () =
   Memory.write_u64 m base 43L;
   Alcotest.(check int64) "copy unchanged" 42L (Memory.read_u64 c base)
 
+(* --- the COW store itself (memories and simulator tables) ----------- *)
+
+let words = 3 * (Cow_store.page_size / 8) (* three pages of 8-byte words *)
+
+let test_store_zero_reset () =
+  let st = Cow_store.create ~size:(words * 8) in
+  for i = 0 to words - 1 do
+    if Cow_store.get_int st (i * 8) <> 0 then
+      Alcotest.failf "word %d not zero" i
+  done;
+  Alcotest.(check int) "reads allocate nothing" 0
+    (Cow_store.allocated_pages st);
+  Cow_store.set_int st 8 (-5);
+  Alcotest.(check int) "negative round trip" (-5) (Cow_store.get_int st 8);
+  Cow_store.set_int64 st 16 Int64.min_int;
+  Alcotest.(check int64) "int64 round trip" Int64.min_int
+    (Cow_store.get_int64 st 16);
+  Alcotest.(check int) "one page written" 1 (Cow_store.allocated_pages st)
+
+let test_store_cow_once () =
+  let st = Cow_store.create ~size:(words * 8) in
+  let page k = k * Cow_store.page_size in
+  Cow_store.set_int st (page 0) 1;
+  Cow_store.set_int st (page 1) 2;
+  Cow_store.reset_stats st;
+  let snap = Cow_store.snapshot st in
+  (* prime the read cache on the shared page *)
+  ignore (Cow_store.get_int st (page 0));
+  (* many writes to a shared page: one copy *)
+  for i = 0 to 99 do
+    Cow_store.set_int st (page 0 + (8 * i)) i
+  done;
+  let faults () = (Cow_store.stats st).cow_faults in
+  Alcotest.(check int) "first write copies the page once" 1 (faults ());
+  Alcotest.(check int) "reads see the copy" 99
+    (Cow_store.get_int st (page 0 + (8 * 99)));
+  (* a page never written before the snapshot is allocated, not copied *)
+  Cow_store.set_int st (page 2) 3;
+  Alcotest.(check int) "fresh page is no COW fault" 1 (faults ());
+  Cow_store.set_int st (page 1) 4;
+  Alcotest.(check int) "second shared page, second copy" 2 (faults ());
+  Cow_store.release snap
+
+let refcounts (st : Cow_store.t) =
+  Array.to_list st.pages
+  |> List.filter_map (Option.map (fun (p : Cow_store.page) -> p.rc))
+
+let test_store_refcounts () =
+  let st = Cow_store.create ~size:(words * 8) in
+  Cow_store.set_int st 0 1;
+  Cow_store.set_int st Cow_store.page_size 2;
+  let a = Cow_store.snapshot st in
+  Cow_store.set_int st 0 10;
+  let b = Cow_store.snapshot st in
+  Cow_store.set_int st (2 * Cow_store.page_size) 30;
+  Cow_store.set_int st Cow_store.page_size 20;
+  Alcotest.(check bool) "pages are shared while snapshots live" true
+    (List.exists (fun rc -> rc > 1) (refcounts st));
+  Cow_store.release a;
+  Cow_store.release b;
+  Alcotest.(check (list int)) "refcounts back to 1" [ 1; 1; 1 ] (refcounts st)
+
+let test_store_restore_twice () =
+  let st = Cow_store.create ~size:(words * 8) in
+  Cow_store.set_int st 0 7;
+  let snap = Cow_store.snapshot st in
+  let scribble () =
+    Cow_store.set_int st 0 70;
+    Cow_store.set_int st Cow_store.page_size 71
+  in
+  let check what =
+    Alcotest.(check int) (what ^ ": word 0") 7 (Cow_store.get_int st 0);
+    Alcotest.(check int) (what ^ ": page 1") 0
+      (Cow_store.get_int st Cow_store.page_size)
+  in
+  scribble ();
+  Cow_store.restore st snap;
+  check "first restore";
+  scribble ();
+  Cow_store.restore st snap;
+  check "second restore";
+  (* the LightSSS path: a copy marshalled with its pages detached gets
+     them back from the snapshot, twice, without touching the original *)
+  let image =
+    Cow_store.with_pages_detached [ st ] (fun () -> Marshal.to_string st [])
+  in
+  let fresh () : Cow_store.t = Marshal.from_string image 0 in
+  let c1 = fresh () and c2 = fresh () in
+  Cow_store.restore c1 snap;
+  Cow_store.restore c2 snap;
+  Cow_store.set_int c1 0 8;
+  Alcotest.(check int) "copy 1 written" 8 (Cow_store.get_int c1 0);
+  Alcotest.(check int) "copy 2 untouched" 7 (Cow_store.get_int c2 0);
+  Alcotest.(check int) "live untouched" 7 (Cow_store.get_int st 0);
+  Cow_store.release snap
+
 let prop_rw =
   QCheck2.Test.make ~count:500 ~name:"random aligned write/read"
     QCheck2.Gen.(
@@ -95,5 +191,13 @@ let tests =
       test_snapshot_isolation;
     Alcotest.test_case "COW fault accounting" `Quick test_cow_faults;
     Alcotest.test_case "deep copy independence" `Quick test_deep_copy_independent;
+    Alcotest.test_case "store: zero pages are the reset state" `Quick
+      test_store_zero_reset;
+    Alcotest.test_case "store: first write after a snapshot copies once" `Quick
+      test_store_cow_once;
+    Alcotest.test_case "store: refcounts return to 1 on release" `Quick
+      test_store_refcounts;
+    Alcotest.test_case "store: restore works twice" `Quick
+      test_store_restore_twice;
     QCheck_alcotest.to_alcotest prop_rw;
   ]
