@@ -1271,7 +1271,8 @@ let bench_chaos () =
 (* ---------------------------------------------------------------- *)
 (* Co-simulation throughput: the pluggable REF interface lets the    *)
 (* same DiffTest run against the ISS or the NEMU block-compiled REF; *)
-(* this bench measures both, end-to-end and REF-side only            *)
+(* this bench measures both, end-to-end and REF-side only, against   *)
+(* the same SoC run without DiffTest (the DUT-only baseline)         *)
 (* ---------------------------------------------------------------- *)
 
 let cosim_workloads = [ "coremark_like"; "mcf_like"; "vm_kernel" ]
@@ -1307,6 +1308,12 @@ let cosim_ref_only kind prog =
   in
   (!total, secs)
 
+(* The same SoC on the same program, no DiffTest attached. *)
+let cosim_dut_only prog =
+  let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
+  Xiangshan.Soc.load_program soc prog;
+  time (fun () -> Xiangshan.Soc.run ~max_cycles:max_int soc)
+
 let cosim_e2e kind prog =
   let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
   Xiangshan.Soc.load_program soc prog;
@@ -1328,9 +1335,9 @@ let cosim_e2e kind prog =
         (Minjie.Ref_model.kind_name kind)
         (Minjie.Rule.string_of_failure f)
   | Minjie.Difftest.Running | Minjie.Difftest.Finished _ -> ());
-  ( (Minjie.Difftest.soc dt).Xiangshan.Soc.now,
-    Minjie.Difftest.commits_checked dt,
-    secs )
+  (((Minjie.Difftest.soc dt).Xiangshan.Soc.now, Minjie.Difftest.commits_checked dt), secs)
+
+let cosim_rounds = 5
 
 let bench_cosim () =
   section "Co-simulation throughput: ISS REF vs NEMU REF";
@@ -1339,26 +1346,63 @@ let bench_cosim () =
      non-autonomous mode\n\
     \ is the paper's fast REF -- both are measured end-to-end under \
      DiffTest and\n\
-    \ REF-side only, stepping the same program standalone)\n\n";
+    \ REF-side only, stepping the same program standalone; overhead is \
+     end-to-end time\n\
+    \ over the same SoC run without DiffTest, minus 1; timed runs are \
+     interleaved,\n\
+    \ best of %d)\n\n"
+    cosim_rounds;
   let speedups_e2e = ref [] and speedups_ref = ref [] in
+  let kinds = [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ] in
   List.iter
     (fun wname ->
       let w = Minjie.Campaign.find_workload wname in
       let prog = w.Workloads.Wl_common.program ~scale:(wl_scale w) in
       Printf.printf "%s:\n" wname;
+      (* Each round runs the DUT-only baseline and both DiffTest runs
+         once, and each keeps its fastest time: one sample moves by 10%
+         or more on a shared host, and interleaving exposes the
+         baseline and the runs it is compared with to the same drift. *)
+      let runs =
+        (fun () ->
+          let cycles, secs = cosim_dut_only prog in
+          ((cycles, 0), secs))
+        :: List.map (fun kind () -> cosim_e2e kind prog) kinds
+      in
+      let best = Array.of_list (List.map (fun run -> run ()) runs) in
+      for _ = 2 to cosim_rounds do
+        List.iteri
+          (fun i run ->
+            let ((_, secs) as r) = run () in
+            if secs < snd best.(i) then best.(i) <- r)
+          runs
+      done;
+      let (dut_cycles, _), dut_secs = best.(0) in
+      let dut_kcps = float_of_int dut_cycles /. max 1e-9 dut_secs /. 1e3 in
+      Printf.printf "  DUT-only:  %8.1f kcycles/s\n" dut_kcps;
+      record
+        [
+          ("experiment", Json.Str "cosim");
+          ("group", Json.Str "dut");
+          ("workload", Json.Str wname);
+          ("dut_cycles", Json.Int dut_cycles);
+          ("dut_seconds", Json.Num dut_secs);
+          ("dut_kcycles_per_s", Json.Num dut_kcps);
+        ];
       let results =
-        List.map
-          (fun kind ->
-            let cycles, commits, e2e_secs = cosim_e2e kind prog in
+        List.mapi
+          (fun i kind ->
+            let (cycles, commits), e2e_secs = best.(i + 1) in
             let ref_insns, ref_secs = cosim_ref_only kind prog in
             let kcps = float_of_int cycles /. max 1e-9 e2e_secs /. 1e3 in
             let cps = float_of_int commits /. max 1e-9 e2e_secs in
             let rps = float_of_int ref_insns /. max 1e-9 ref_secs in
+            let overhead = (e2e_secs /. max 1e-9 dut_secs) -. 1.0 in
             Printf.printf
               "  %-5s e2e: %8.1f kcycles/s %10.0f commits/s   REF-only: \
-               %10.0f insns/s\n"
+               %10.0f insns/s   overhead: %+.0f%%\n"
               (Minjie.Ref_model.kind_name kind)
-              kcps cps rps;
+              kcps cps rps (100.0 *. overhead);
             record
               [
                 ("experiment", Json.Str "cosim");
@@ -1370,12 +1414,13 @@ let bench_cosim () =
                 ("e2e_kcycles_per_s", Json.Num kcps);
                 ("e2e_commits", Json.Int commits);
                 ("e2e_commits_per_s", Json.Num cps);
+                ("overhead", Json.Num overhead);
                 ("ref_insns", Json.Int ref_insns);
                 ("ref_seconds", Json.Num ref_secs);
                 ("ref_insns_per_s", Json.Num rps);
               ];
             (kind, cps, rps))
-          [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ]
+          kinds
       in
       match results with
       | [ (_, iss_cps, iss_rps); (_, nemu_cps, nemu_rps) ] ->

@@ -159,7 +159,15 @@ rm -f ci_fuzz_clean.json ci_fuzz_killed.json ci_fuzz_done.json ci_fuzz.journal
 echo "== clean shutdown: SIGTERM exits 143 and leaves no orphan workers =="
 "$BENCH" campaign --jobs 2 --json ci_term.json >/dev/null &
 victim=$!
-sleep 0.5
+# signal once both pool workers are running: the whole campaign takes
+# well under a second, so a fixed sleep can outlast it, and with both
+# slots busy the parent is waiting on them rather than forking
+while [ "$(pgrep -c -P "$victim" || true)" -lt 2 ]; do
+  if ! kill -0 "$victim" 2>/dev/null; then
+    echo "campaign exited before both pool workers were seen"; exit 1
+  fi
+  sleep 0.005
+done
 kill -TERM "$victim"
 set +e; wait "$victim"; code=$?; set -e
 if [ "$code" != 143 ]; then
@@ -211,7 +219,13 @@ grep -q '"group": "run"' ci_cosim.json
 grep -q '"group": "speedup"' ci_cosim.json
 grep -q '"ref_step_speedup"' ci_cosim.json
 grep -q '"geomean_ref_step_speedup"' ci_cosim.json
+# the DUT-only baseline row and DiffTest's overhead over it
+grep -q '"group": "dut"' ci_cosim.json
+grep -q '"overhead"' ci_cosim.json
 rm -f ci_cosim.json
+
+echo "== benchmark smoke (every workload at tiny size; planted pin errors must be caught) =="
+python3 perfbench/smoke.py
 
 echo "== serve smoke (warm-state service: served output byte-identical to cold, clean shutdown, no orphans) =="
 CLI=./_build/default/bin/minjie_cli.exe

@@ -7,7 +7,26 @@
    Diff-rules reconcile legal micro-architecture-dependent divergence;
    anything they cannot justify aborts the simulation with a located
    failure, which the LightSSS workflow can then replay in debug
-   mode. *)
+   mode.
+
+   [tick] runs once per cycle and [process_commit] once per commit, so
+   neither allocates unless something fails, beyond a committed
+   store's own records:
+   - The architectural compare runs every cycle on every hart, not
+     only on commit.  A fault can change DUT state with no commit
+     (csr-mtvec-corrupt flips mtvec from a fault hook), and the
+     campaign reports the cycle it is caught in.  The compare itself
+     is [Ref_model.diff_against]: one compared-field definition
+     ([Csr.compared], the numbering of [Arch_state.first_diff]) that
+     both REFs use and format alike.
+   - Rules are dispatched from arrays of their present hooks, built in
+     [create].
+   - Each forcing rule keeps its own livelock guard, keyed by
+     (hart, pc): page-fault-forcing resets a key on a non-trapping
+     commit at that pc, sc-failure-forcing when an SC there succeeds
+     (see [Rule.guard]).
+   - The Global Memory is keyed by word index (paddr lsr 3) as a plain
+     int, and only a multi-hart SoC fills it (see global_memory.ml). *)
 
 open Riscv
 
@@ -33,6 +52,9 @@ type t = {
   ref_kind : Ref_model.kind;
   ctx : Rule.ctx;
   rules : Rule.t list;
+  (* the rules' present hooks in rule order, built once *)
+  pre_hooks : (Rule.t * Rule.pre_hook) array;
+  post_hooks : (Rule.t * Rule.post_hook) array;
   queues : Xiangshan.Probe.commit Queue.t array;
   scoreboard : Softmem.Scoreboard.t option;
   mutable status : status;
@@ -51,12 +73,10 @@ type t = {
   mutable store_timeout : int;
 }
 
+let running t = match t.status with Running -> true | Failed _ | Finished _ -> false
+
 let fail_now (t : t) ~hart ~pc ?(probe = "") ~rule msg =
-  if
-    match t.status with
-    | Running -> true
-    | Finished _ | Failed _ -> false
-  then
+  if running t then
     t.status <-
       Failed
         {
@@ -69,10 +89,17 @@ let fail_now (t : t) ~hart ~pc ?(probe = "") ~rule msg =
           f_probe = probe;
         }
 
-let log t fmt =
-  Printf.ksprintf
-    (fun s -> if t.debug then t.debug_log <- (t.soc.Xiangshan.Soc.now, s) :: t.debug_log)
-    fmt
+let log t s = t.debug_log <- (t.soc.Xiangshan.Soc.now, s) :: t.debug_log
+
+let park t hart (d : Xiangshan.Probe.store_drain) =
+  t.early_drains.(hart) <-
+    {
+      ps_paddr = d.Xiangshan.Probe.d_paddr;
+      ps_size = d.Xiangshan.Probe.d_size;
+      ps_value = d.Xiangshan.Probe.d_value;
+      ps_commit_cycle = d.Xiangshan.Probe.d_cycle;
+    }
+    :: t.early_drains.(hart)
 
 (* A drain arrived from hart [hart]'s store buffer.  Committed stores
    drain in commit order, so the drain must match the oldest pending
@@ -84,18 +111,8 @@ let note_drain (t : t) hart (d : Xiangshan.Probe.store_drain) =
   let dp = d.Xiangshan.Probe.d_paddr
   and ds = d.Xiangshan.Probe.d_size
   and dv = d.Xiangshan.Probe.d_value in
-  let park () =
-    t.early_drains.(hart) <-
-      {
-        ps_paddr = dp;
-        ps_size = ds;
-        ps_value = dv;
-        ps_commit_cycle = d.Xiangshan.Probe.d_cycle;
-      }
-      :: t.early_drains.(hart)
-  in
   let q = t.pending_stores.(hart) in
-  if Queue.is_empty q then park ()
+  if Queue.is_empty q then park t hart d
   else begin
     let h = Queue.peek q in
     if h.ps_paddr = dp && h.ps_size = ds then begin
@@ -131,9 +148,18 @@ let note_drain (t : t) hart (d : Xiangshan.Probe.store_drain) =
               older store @0x%Lx=0x%Lx (commit cycle %d) was skipped or \
               reordered"
              dp dv !found h.ps_paddr h.ps_value h.ps_commit_cycle)
-      else park ()
+      else park t hart d
     end
   end
+
+let rec take_parked entry acc = function
+  | [] -> None
+  | (e : pending_store) :: rest ->
+      if
+        e.ps_paddr = entry.ps_paddr && e.ps_size = entry.ps_size
+        && e.ps_value = entry.ps_value
+      then Some (List.rev_append acc rest)
+      else take_parked entry (e :: acc) rest
 
 (* A store probe committed: either its drain already raced past this
    cycle (consume the parked announcement) or it joins the pending
@@ -149,16 +175,7 @@ let note_committed_store (t : t) ~hart (p : Xiangshan.Probe.commit) =
           ps_commit_cycle = p.Xiangshan.Probe.p_cycle;
         }
       in
-      let rec take acc = function
-        | [] -> None
-        | (e : pending_store) :: rest ->
-            if
-              e.ps_paddr = entry.ps_paddr && e.ps_size = entry.ps_size
-              && e.ps_value = entry.ps_value
-            then Some (List.rev_append acc rest)
-            else take (e :: acc) rest
-      in
-      (match take [] t.early_drains.(hart) with
+      (match take_parked entry [] t.early_drains.(hart) with
       | Some rest -> t.early_drains.(hart) <- rest
       | None -> Queue.add entry t.pending_stores.(hart))
   | _ -> ()
@@ -183,10 +200,12 @@ let create ?rules ?(with_scoreboard = true) ?ref_kind
       global_mem = Global_memory.create ();
       soc;
       failure = None;
-      forced_history = Hashtbl.create 64;
     }
   in
   let queues = Array.init n (fun _ -> Queue.create ()) in
+  let hooks get =
+    Array.of_list (List.filter_map (fun r -> Option.map (fun f -> (r, f)) (get r)) rules)
+  in
   let scoreboard =
     if not with_scoreboard then None
     else begin
@@ -208,6 +227,8 @@ let create ?rules ?(with_scoreboard = true) ?ref_kind
       ref_kind;
       ctx;
       rules;
+      pre_hooks = hooks (fun (r : Rule.t) -> r.Rule.pre);
+      post_hooks = hooks (fun (r : Rule.t) -> r.Rule.post);
       queues;
       scoreboard;
       status = Running;
@@ -221,15 +242,19 @@ let create ?rules ?(with_scoreboard = true) ?ref_kind
       store_timeout = 10_000;
     }
   in
+  (* The Global Memory rule consults the table only when another hart
+     could have stored a load's value, so one hart records nothing. *)
+  let record_stores = n > 1 in
   Array.iteri
     (fun i core ->
       core.Xiangshan.Core.probes.Xiangshan.Probe.on_commit <-
         (fun p -> Queue.add p t.queues.(i));
       core.Xiangshan.Core.probes.Xiangshan.Probe.on_drain <-
         (fun d ->
-          Global_memory.record ctx.Rule.global_mem
-            ~cycle:d.Xiangshan.Probe.d_cycle ~paddr:d.Xiangshan.Probe.d_paddr
-            ~size:d.Xiangshan.Probe.d_size ~value:d.Xiangshan.Probe.d_value;
+          if record_stores then
+            Global_memory.record ctx.Rule.global_mem
+              ~cycle:d.Xiangshan.Probe.d_cycle ~paddr:d.Xiangshan.Probe.d_paddr
+              ~size:d.Xiangshan.Probe.d_size ~value:d.Xiangshan.Probe.d_value;
           note_drain t i d))
     soc.Xiangshan.Soc.cores;
   (match scoreboard with
@@ -240,29 +265,25 @@ let create ?rules ?(with_scoreboard = true) ?ref_kind
   t
 
 let apply_pre t ~hart (p : Xiangshan.Probe.commit) =
-  List.iter
-    (fun (r : Rule.t) ->
-      match r.Rule.pre with
-      | Some f -> if f t.ctx ~hart p then r.Rule.fires <- r.Rule.fires + 1
-      | None -> ())
-    t.rules
+  for i = 0 to Array.length t.pre_hooks - 1 do
+    let r, f = Array.unsafe_get t.pre_hooks i in
+    if f t.ctx ~hart p then r.Rule.fires <- r.Rule.fires + 1
+  done
 
 let apply_post t ~hart (p : Xiangshan.Probe.commit) (c : Ref_model.commit) =
-  List.iter
-    (fun (r : Rule.t) ->
-      match r.Rule.post with
-      | Some f -> (
-          match f t.ctx ~hart p c with
-          | Rule.Pass -> ()
-          | Rule.Patched ->
-              r.Rule.fires <- r.Rule.fires + 1;
-              log t "rule %s patched REF at pc=0x%Lx" r.Rule.name p.p_pc
-          | Rule.Fail msg ->
-              r.Rule.fires <- r.Rule.fires + 1;
-              fail_now t ~hart ~pc:p.p_pc ~probe:(Rule.describe_probe p)
-                ~rule:r.Rule.name msg)
-      | None -> ())
-    t.rules
+  for i = 0 to Array.length t.post_hooks - 1 do
+    let r, f = Array.unsafe_get t.post_hooks i in
+    match f t.ctx ~hart p c with
+    | Rule.Pass -> ()
+    | Rule.Patched ->
+        r.Rule.fires <- r.Rule.fires + 1;
+        if t.debug then
+          log t (Printf.sprintf "rule %s patched REF at pc=0x%Lx" r.Rule.name p.p_pc)
+    | Rule.Fail msg ->
+        r.Rule.fires <- r.Rule.fires + 1;
+        fail_now t ~hart ~pc:p.p_pc ~probe:(Rule.describe_probe p)
+          ~rule:r.Rule.name msg
+  done
 
 let process_commit t ~hart (p : Xiangshan.Probe.commit) =
   let r = t.ctx.Rule.refs.(hart) in
@@ -309,20 +330,24 @@ let process_commit t ~hart (p : Xiangshan.Probe.commit) =
                      "next pc mismatch at 0x%Lx: DUT 0x%Lx, REF 0x%Lx" p.p_pc
                      p.p_next_pc final_c.Ref_model.next_pc)))
 
-(* End-of-cycle architectural comparison (after the commit queue of
-   each hart has been drained). *)
+(* End-of-cycle architectural comparison, every cycle on every hart
+   whose commit queue was drained.  It must not wait for a commit: a
+   fault can change DUT state with no commit (csr-mtvec-corrupt flips
+   mtvec from a fault hook), and the cycle that happens is the failure
+   cycle the campaign reports.  The compare allocates nothing unless a
+   field differs. *)
 let compare_states t =
-  Array.iteri
-    (fun hart (core : Xiangshan.Core.t) ->
-      if not (Queue.is_empty t.queues.(hart)) then ()
-      else
-        let r = t.ctx.Rule.refs.(hart) in
-        match r.Ref_model.diff_against core.Xiangshan.Core.arch with
-        | Some msg ->
-            fail_now t ~hart ~pc:core.Xiangshan.Core.arch.Arch_state.pc
-              ~rule:"state-compare" ("DUT vs REF: " ^ msg)
-        | None -> ())
-    t.soc.Xiangshan.Soc.cores
+  let cores = t.soc.Xiangshan.Soc.cores in
+  for hart = 0 to Array.length cores - 1 do
+    if Queue.is_empty t.queues.(hart) then begin
+      let arch = cores.(hart).Xiangshan.Core.arch in
+      match t.ctx.Rule.refs.(hart).Ref_model.diff_against arch with
+      | Some msg ->
+          fail_now t ~hart ~pc:arch.Arch_state.pc ~rule:"state-compare"
+            ("DUT vs REF: " ^ msg)
+      | None -> ()
+    end
+  done
 
 let check_scoreboard t =
   match t.scoreboard with
@@ -334,86 +359,72 @@ let check_scoreboard t =
            v.Softmem.Scoreboard.v_msg)
   | Some _ | None -> ()
 
+(* Watchdogs: a hart that stops committing is hung -- the bug class
+   commit-diffing cannot see -- and a committed store must drain
+   within the timeout (dropped or wedged store buffers).  Both
+   failures carry the retirement stall site from the probes. *)
+let check_watchdogs t =
+  let soc = t.soc in
+  let now = soc.Xiangshan.Soc.now in
+  for hart = 0 to Array.length t.last_commit_cycle - 1 do
+    if now - t.last_commit_cycle.(hart) > t.commit_timeout
+       && not (Xiangshan.Soc.exited soc)
+    then
+      let core = soc.Xiangshan.Soc.cores.(hart) in
+      fail_now t ~hart ~pc:core.Xiangshan.Core.arch.Arch_state.pc
+        ~rule:"hang-watchdog"
+        (Printf.sprintf "hart %d committed nothing for %d cycles; stall site: %s"
+           hart t.commit_timeout (Xiangshan.Core.stall_site core))
+  done;
+  for hart = 0 to Array.length t.pending_stores - 1 do
+    let q = t.pending_stores.(hart) in
+    if not (Queue.is_empty q) then begin
+      let h = Queue.peek q in
+      if now - h.ps_commit_cycle > t.store_timeout && not (Xiangshan.Soc.exited soc)
+      then
+        let core = soc.Xiangshan.Soc.cores.(hart) in
+        fail_now t ~hart ~pc:core.Xiangshan.Core.arch.Arch_state.pc
+          ~rule:"store-drain-timeout"
+          (Printf.sprintf
+             "store @0x%Lx=0x%Lx committed at cycle %d never drained (%d \
+              cycles ago); %s"
+             h.ps_paddr h.ps_value h.ps_commit_cycle (now - h.ps_commit_cycle)
+             (Xiangshan.Core.stall_site core))
+    end
+  done
+
 (* One co-simulated cycle. *)
 let tick t =
-  match t.status with
-  | Failed _ | Finished _ -> ()
-  | Running ->
-      Xiangshan.Soc.tick t.soc;
-      (* keep REF wall-clock in sync (part of the time diff-rule) *)
-      Array.iter
-        (fun (r : Ref_model.t) ->
-          r.Ref_model.set_time
-            t.soc.Xiangshan.Soc.plat.Platform.clint.Platform.Clint.mtime)
-        t.ctx.Rule.refs;
-      Array.iteri
-        (fun hart q ->
-          while
-            (not (Queue.is_empty q))
-            && match t.status with Running -> true | _ -> false
-          do
-            process_commit t ~hart (Queue.pop q)
-          done)
-        t.queues;
-      (* parked drain announcements only live until this cycle's
-         probes are processed *)
-      Array.iteri (fun i _ -> t.early_drains.(i) <- []) t.early_drains;
-      (match t.status with
-      | Running ->
-          compare_states t;
-          check_scoreboard t;
-          (* hang watchdog: a hart that stops committing is hung --
-             the bug class commit-diffing cannot see.  The failure
-             carries the retirement stall site from the probes. *)
-          Array.iteri
-            (fun hart last ->
-              if
-                t.soc.Xiangshan.Soc.now - last > t.commit_timeout
-                && not (Xiangshan.Soc.exited t.soc)
-              then
-                fail_now t ~hart
-                  ~pc:t.soc.Xiangshan.Soc.cores.(hart)
-                        .Xiangshan.Core.arch.Arch_state.pc
-                  ~rule:"hang-watchdog"
-                  (Printf.sprintf
-                     "hart %d committed nothing for %d cycles; stall site: %s"
-                     hart t.commit_timeout
-                     (Xiangshan.Core.stall_site t.soc.Xiangshan.Soc.cores.(hart))))
-            t.last_commit_cycle;
-          (* store accounting: a committed store must drain within the
-             timeout (dropped or wedged store buffers) *)
-          Array.iteri
-            (fun hart q ->
-              if not (Queue.is_empty q) then begin
-                let h = Queue.peek q in
-                if
-                  t.soc.Xiangshan.Soc.now - h.ps_commit_cycle > t.store_timeout
-                  && not (Xiangshan.Soc.exited t.soc)
-                then
-                  fail_now t ~hart
-                    ~pc:t.soc.Xiangshan.Soc.cores.(hart)
-                          .Xiangshan.Core.arch.Arch_state.pc
-                    ~rule:"store-drain-timeout"
-                    (Printf.sprintf
-                       "store @0x%Lx=0x%Lx committed at cycle %d never \
-                        drained (%d cycles ago); %s"
-                       h.ps_paddr h.ps_value h.ps_commit_cycle
-                       (t.soc.Xiangshan.Soc.now - h.ps_commit_cycle)
-                       (Xiangshan.Core.stall_site
-                          t.soc.Xiangshan.Soc.cores.(hart)))
-              end)
-            t.pending_stores;
-          if Xiangshan.Soc.exited t.soc then
-            t.status <-
-              Finished (Option.value (Xiangshan.Soc.exit_code t.soc) ~default:(-1))
-      | Failed _ | Finished _ -> ())
+  if running t then begin
+    Xiangshan.Soc.tick t.soc;
+    (* keep REF wall-clock in sync (part of the time diff-rule) *)
+    let mtime = t.soc.Xiangshan.Soc.plat.Platform.clint.Platform.Clint.mtime in
+    let refs = t.ctx.Rule.refs in
+    for i = 0 to Array.length refs - 1 do
+      refs.(i).Ref_model.set_time mtime
+    done;
+    for hart = 0 to Array.length t.queues - 1 do
+      let q = t.queues.(hart) in
+      while (not (Queue.is_empty q)) && running t do
+        process_commit t ~hart (Queue.pop q)
+      done
+    done;
+    (* parked drain announcements only live until this cycle's
+       probes are processed *)
+    Array.fill t.early_drains 0 (Array.length t.early_drains) [];
+    if running t then begin
+      compare_states t;
+      check_scoreboard t;
+      check_watchdogs t;
+      if Xiangshan.Soc.exited t.soc then
+        t.status <-
+          Finished (Option.value (Xiangshan.Soc.exit_code t.soc) ~default:(-1))
+    end
+  end
 
 let run ?(max_cycles = 50_000_000) t : status =
   let start = t.soc.Xiangshan.Soc.now in
-  while
-    (match t.status with Running -> true | Failed _ | Finished _ -> false)
-    && t.soc.Xiangshan.Soc.now - start < max_cycles
-  do
+  while running t && t.soc.Xiangshan.Soc.now - start < max_cycles do
     tick t
   done;
   t.status

@@ -1,9 +1,10 @@
 (* The Global Memory of the multi-core diff-rule (§III-B2b).
 
-   Records every store that enters the cache hierarchy of the DUT
-   (store-buffer drains, SC and AMO writes, from all harts), with the
-   drain cycle -- the "additional historical information" the paper's
-   checker keeps.
+   Records every store that enters the cache hierarchy of a multi-hart
+   DUT (store-buffer drains, SC and AMO writes, from all harts), with
+   the drain cycle -- the "additional historical information" the
+   paper's checker keeps.  DiffTest records nothing for a single hart:
+   no other hart can have produced a value its loads see.
 
    When a single-core REF's load disagrees with the DUT, DiffTest
    consults this history: the DUT value is legal if, byte by byte, it
@@ -15,7 +16,12 @@
 
    Storage is word-granular (8-byte aligned) with per-entry byte
    masks, so the table stays proportional to the stored footprint in
-   words, not bytes. *)
+   words, not bytes.  The key is the word index, [paddr lsr 3], as a
+   plain int, so a lookup boxes nothing.  Recording a store allocates
+   only its entry and list cell; pruning allocates only when it drops
+   something. *)
+
+module Word_table = Hashtbl.Make (Int)
 
 type entry = {
   e_mask : int; (* which bytes of the word this store wrote *)
@@ -23,10 +29,7 @@ type entry = {
   e_cycle : int;
 }
 
-type t = {
-  mutable words : (int64, entry list) Hashtbl.t; (* word index -> newest first *)
-  mutable stores_recorded : int;
-}
+type t = { mutable words : entry list Word_table.t (* word index -> newest first *) }
 
 (* Loads are judged at the cycle they read memory; the slack covers
    drain/check ordering inside one simulator tick. *)
@@ -36,35 +39,46 @@ let slack = 8
    still be awaiting its commit-time check. *)
 let retention = 8192
 
-let create () = { words = Hashtbl.create (1 lsl 14); stores_recorded = 0 }
+let create () = { words = Word_table.create (1 lsl 14) }
+
+let history t word =
+  match Word_table.find t.words word with
+  | h -> h
+  | exception Not_found -> []
 
 (* Prune fully shadowed entries that can no longer matter: an entry is
    dead once every byte it covers was overwritten by entries all older
-   than the retention horizon. *)
+   than the retention horizon.  Walking newest first, [covered] holds
+   the bytes some newer entry wrote and [recent] those whose nearest
+   newer overwrite is within the horizon.  An unchanged list is
+   returned as is. *)
 let prune ~(now : int) (history : entry list) : entry list =
   let cutoff = now - retention in
-  let shadow = Array.make 8 max_int (* max_int = byte still current *) in
-  let keep e =
-    let useful = ref false in
-    for b = 0 to 7 do
-      if e.e_mask land (1 lsl b) <> 0 then begin
-        if shadow.(b) = max_int || shadow.(b) >= cutoff then useful := true;
-        shadow.(b) <- e.e_cycle
-      end
-    done;
-    !useful
+  let rec go ~covered ~recent = function
+    | [] -> []
+    | e :: rest as l ->
+        let useful =
+          e.e_mask land lnot covered <> 0 || e.e_mask land recent <> 0
+        in
+        let rest' =
+          go ~covered:(covered lor e.e_mask)
+            ~recent:
+              (if e.e_cycle >= cutoff then recent lor e.e_mask
+               else recent land lnot e.e_mask)
+            rest
+        in
+        if not useful then rest' else if rest' == rest then l else e :: rest'
   in
-  List.filter keep history
+  go ~covered:0 ~recent:0 history
 
 let record (t : t) ~(cycle : int) ~(paddr : int64) ~(size : int)
     ~(value : int64) =
-  t.stores_recorded <- t.stores_recorded + 1;
+  let base = Int64.to_int paddr in
   (* split into the (one or two) aligned words the store touches *)
   let rec go i =
     if i < size then begin
-      let a = Int64.add paddr (Int64.of_int i) in
-      let word = Int64.shift_right_logical a 3 in
-      let lane = Int64.to_int (Int64.logand a 7L) in
+      let a = base + i in
+      let word = a lsr 3 and lane = a land 7 in
       (* bytes of this store landing in this word *)
       let n = min (size - i) (8 - lane) in
       let mask = ((1 lsl n) - 1) lsl lane in
@@ -75,10 +89,9 @@ let record (t : t) ~(cycle : int) ~(paddr : int64) ~(size : int)
              (if n >= 8 then -1L else Int64.sub (Int64.shift_left 1L (8 * n)) 1L))
           (8 * lane)
       in
-      let prev = Option.value (Hashtbl.find_opt t.words word) ~default:[] in
-      Hashtbl.replace t.words word
+      Word_table.replace t.words word
         ({ e_mask = mask; e_value = chunk; e_cycle = cycle }
-        :: prune ~now:cycle prev);
+        :: prune ~now:cycle (history t word));
       go (i + n)
     end
   in
@@ -88,32 +101,28 @@ let byte_of v lane = Int64.to_int (Int64.shift_right_logical v (8 * lane)) land 
 
 (* Legality of one byte (word index + lane) holding [b] for a load
    that read memory at cycle [at]. *)
-let byte_ok (t : t) ~(at : int) ~(word : int64) ~(lane : int) (b : int) :
+let byte_ok (t : t) ~(at : int) ~(word : int) ~(lane : int) (b : int) :
     [ `Ok | `Stale | `Unrecorded ] =
-  match Hashtbl.find_opt t.words word with
-  | None -> `Unrecorded
-  | Some history ->
-      let rec go ~overwrite = function
-        | [] -> if overwrite = max_int then `Unrecorded else `Stale
-        | e :: rest ->
-            if e.e_mask land (1 lsl lane) <> 0 then
-              if byte_of e.e_value lane = b && overwrite >= at - slack then `Ok
-              else go ~overwrite:e.e_cycle rest
-            else go ~overwrite rest
-      in
-      go ~overwrite:max_int history
+  let rec go ~overwrite = function
+    | [] -> if overwrite = max_int then `Unrecorded else `Stale
+    | e :: rest ->
+        if e.e_mask land (1 lsl lane) <> 0 then
+          if byte_of e.e_value lane = b && overwrite >= at - slack then `Ok
+          else go ~overwrite:e.e_cycle rest
+        else go ~overwrite rest
+  in
+  go ~overwrite:max_int (history t word)
 
 (* Is [value], read from memory at cycle [at], justifiable from the
    drained-store history?  Bytes never stored come from the initial
    image and are unconstrained. *)
 let compatible (t : t) ~(at : int) ~(paddr : int64) ~(size : int)
     ~(value : int64) : bool =
+  let base = Int64.to_int paddr in
   let ok = ref true in
   for i = 0 to size - 1 do
-    let a = Int64.add paddr (Int64.of_int i) in
-    let word = Int64.shift_right_logical a 3 in
-    let lane = Int64.to_int (Int64.logand a 7L) in
-    match byte_ok t ~at ~word ~lane (byte_of value i) with
+    let a = base + i in
+    match byte_ok t ~at ~word:(a lsr 3) ~lane:(a land 7) (byte_of value i) with
     | `Ok | `Unrecorded -> ()
     | `Stale -> ok := false
   done;
@@ -121,22 +130,18 @@ let compatible (t : t) ~(at : int) ~(paddr : int64) ~(size : int)
 
 (* The currently drained value, if every byte has been stored. *)
 let lookup (t : t) ~(paddr : int64) ~(size : int) : int64 option =
+  let base = Int64.to_int paddr in
   let v = ref 0L in
   let all = ref true in
   for i = size - 1 downto 0 do
-    let a = Int64.add paddr (Int64.of_int i) in
-    let word = Int64.shift_right_logical a 3 in
-    let lane = Int64.to_int (Int64.logand a 7L) in
+    let a = base + i in
+    let lane = a land 7 in
     let byte =
-      match Hashtbl.find_opt t.words word with
-      | None -> None
-      | Some history ->
-          List.find_map
-            (fun e ->
-              if e.e_mask land (1 lsl lane) <> 0 then
-                Some (byte_of e.e_value lane)
-              else None)
-            history
+      List.find_map
+        (fun e ->
+          if e.e_mask land (1 lsl lane) <> 0 then Some (byte_of e.e_value lane)
+          else None)
+        (history t (a lsr 3))
     in
     match byte with
     | Some b -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)

@@ -1,7 +1,9 @@
 (** The Global Memory of the multi-core diff-rule (paper §III-B2b).
 
-    Records every store that enters the cache hierarchy of the DUT
-    (store-buffer drains, SC and AMO writes, from all harts), with
+    Records every store that enters the cache hierarchy of a
+    multi-hart DUT (store-buffer drains, SC and AMO writes, from all
+    harts; DiffTest records nothing for a single hart, whose loads
+    no other hart can justify), with
     drain cycles as the "additional historical information".  When a
     single-core REF's load disagrees with the DUT, DiffTest asks
     whether the DUT value was legally produced by some hart:
@@ -10,9 +12,12 @@
     overwritten long before the load read memory is reported as a
     data mismatch -- which is how the §IV-C stale-grant bug surfaces. *)
 
+module Word_table : Hashtbl.S with type key = int
+(** Tables keyed by word index, [paddr lsr 3]. *)
+
 type t = {
-  mutable words : (int64, entry list) Hashtbl.t;
-  mutable stores_recorded : int;
+  mutable words : entry list Word_table.t;
+      (** word index -> the stores that wrote it, newest first *)
 }
 
 and entry = { e_mask : int; e_value : int64; e_cycle : int }

@@ -20,9 +20,6 @@ type ctx = {
   global_mem : Global_memory.t;
   soc : Xiangshan.Soc.t;
   mutable failure : failure option;
-  (* guard state: repeated forced events at one pc indicate a real bug
-     (paper: "tracked and asserted not to repeatedly occur") *)
-  forced_history : (int * int64, int) Hashtbl.t;
 }
 
 and failure = {
@@ -58,19 +55,18 @@ let string_of_failure (f : failure) : string =
     f.f_pc f.f_rule f.f_msg
     (if f.f_probe = "" then "" else "; probe: " ^ f.f_probe)
 
+(* returns true when the rule fired (forced an event) *)
+type pre_hook = ctx -> hart:int -> Xiangshan.Probe.commit -> bool
+
+type post_hook =
+  ctx -> hart:int -> Xiangshan.Probe.commit -> Ref_model.commit -> verdict
+
 type t = {
   name : string;
   descr : string;
   mutable fires : int;
-  pre : (ctx -> hart:int -> Xiangshan.Probe.commit -> bool) option;
-      (* returns true when the rule fired (forced an event) *)
-  post :
-    (ctx ->
-    hart:int ->
-    Xiangshan.Probe.commit ->
-    Ref_model.commit ->
-    verdict)
-    option;
+  pre : pre_hook option;
+  post : post_hook option;
 }
 
 let fail ctx ~hart ~(probe : Xiangshan.Probe.commit) ~rule msg =
@@ -89,17 +85,27 @@ let fail ctx ~hart ~(probe : Xiangshan.Probe.commit) ~rule msg =
 
 let make ?pre ?post ~name ~descr () = { name; descr; fires = 0; pre; post }
 
-(* Guard against livelock from repeatedly forced events at one pc. *)
+(* Guard against livelock from repeatedly forced events at one pc
+   (paper: forced events are "tracked and asserted not to repeatedly
+   occur").  Each forcing rule owns its guard, so one rule's reset
+   cannot clear another's count: the counts are keyed by (hart, pc)
+   within the rule, and the rule decides what resets a key.  A rule
+   that clears on every commit pays one length test while nothing is
+   being forced. *)
 let max_consecutive_forces = 200
 
-let bump_force_guard ctx ~hart ~(probe : Xiangshan.Probe.commit) ~rule =
-  let key = (hart, probe.Xiangshan.Probe.p_pc) in
-  let n = Option.value (Hashtbl.find_opt ctx.forced_history key) ~default:0 in
-  Hashtbl.replace ctx.forced_history key (n + 1);
-  if n + 1 > max_consecutive_forces then
-    fail ctx ~hart ~probe ~rule
-      (Printf.sprintf "event forced %d times at the same pc (livelock?)"
-         (n + 1))
+type guard = { g_rule : string; g_counts : (int * int64, int) Hashtbl.t }
 
-let clear_force_guard ctx ~hart ~(probe : Xiangshan.Probe.commit) =
-  Hashtbl.remove ctx.forced_history (hart, probe.Xiangshan.Probe.p_pc)
+let force_guard rule = { g_rule = rule; g_counts = Hashtbl.create 16 }
+
+let bump_force_guard g ctx ~hart ~(probe : Xiangshan.Probe.commit) =
+  let key = (hart, probe.Xiangshan.Probe.p_pc) in
+  let n = Option.value (Hashtbl.find_opt g.g_counts key) ~default:0 + 1 in
+  Hashtbl.replace g.g_counts key n;
+  if n > max_consecutive_forces then
+    fail ctx ~hart ~probe ~rule:g.g_rule
+      (Printf.sprintf "event forced %d times at the same pc (livelock?)" n)
+
+let clear_force_guard g ~hart ~(probe : Xiangshan.Probe.commit) =
+  if Hashtbl.length g.g_counts > 0 then
+    Hashtbl.remove g.g_counts (hart, probe.Xiangshan.Probe.p_pc)

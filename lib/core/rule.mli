@@ -19,10 +19,6 @@ type ctx = {
   global_mem : Global_memory.t;
   soc : Xiangshan.Soc.t;
   mutable failure : failure option;
-  forced_history : (int * int64, int) Hashtbl.t;
-      (** per (hart, pc) counts guarding against forced-event
-          livelock (paper: forced events are "tracked and asserted
-          not to repeatedly occur") *)
 }
 
 and failure = {
@@ -47,40 +43,43 @@ val string_of_failure : failure -> string
 (** Everything a report needs on one line: cycle, hart, pc, the rule
     that fired, the message, and the probe snapshot. *)
 
+type pre_hook = ctx -> hart:int -> Xiangshan.Probe.commit -> bool
+(** Returns whether the rule fired (forced an event). *)
+
+type post_hook =
+  ctx -> hart:int -> Xiangshan.Probe.commit -> Ref_model.commit -> verdict
+
 type t = {
   name : string;
   descr : string;
   mutable fires : int;
-  pre : (ctx -> hart:int -> Xiangshan.Probe.commit -> bool) option;
-      (** returns whether the rule fired (forced an event) *)
-  post :
-    (ctx ->
-    hart:int ->
-    Xiangshan.Probe.commit ->
-    Ref_model.commit ->
-    verdict)
-    option;
+  pre : pre_hook option;
+  post : post_hook option;
 }
 
 val make :
-  ?pre:(ctx -> hart:int -> Xiangshan.Probe.commit -> bool) ->
-  ?post:
-    (ctx ->
-    hart:int ->
-    Xiangshan.Probe.commit ->
-    Ref_model.commit ->
-    verdict) ->
-  name:string ->
-  descr:string ->
-  unit ->
-  t
+  ?pre:pre_hook -> ?post:post_hook -> name:string -> descr:string -> unit -> t
 
 val fail :
   ctx -> hart:int -> probe:Xiangshan.Probe.commit -> rule:string -> string -> unit
 
 val max_consecutive_forces : int
 
-val bump_force_guard :
-  ctx -> hart:int -> probe:Xiangshan.Probe.commit -> rule:string -> unit
+(** A forcing rule's livelock guard (paper: forced events are "tracked
+    and asserted not to repeatedly occur"): consecutive forces per
+    (hart, pc), owned by one rule so no other rule's reset clears
+    them. *)
+type guard
 
-val clear_force_guard : ctx -> hart:int -> probe:Xiangshan.Probe.commit -> unit
+val force_guard : string -> guard
+(** A fresh guard for the rule of that name (the name its failure
+    reports). *)
+
+val bump_force_guard :
+  guard -> ctx -> hart:int -> probe:Xiangshan.Probe.commit -> unit
+(** Count one forced event at the probe's (hart, pc); past
+    {!max_consecutive_forces} the rule fails. *)
+
+val clear_force_guard : guard -> hart:int -> probe:Xiangshan.Probe.commit -> unit
+(** Reset the probe's (hart, pc) count.  Costs one length test while
+    the guard counts nothing. *)

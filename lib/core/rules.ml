@@ -15,6 +15,7 @@ open Riscv
    trap.  Identical architectural state afterwards is still required
    (checked by the post-step state comparison). *)
 let page_fault_forcing () =
+  let guard = Rule.force_guard "page-fault-forcing" in
   Rule.make ~name:"page-fault-forcing"
     ~descr:
       "DUT may fault on speculative/stale translations; REF is forced to \
@@ -22,11 +23,11 @@ let page_fault_forcing () =
     ~pre:(fun ctx ~hart (p : Xiangshan.Probe.commit) ->
       match p.p_trap with
       | Some (exc, tval) ->
-          Rule.bump_force_guard ctx ~hart ~probe:p ~rule:"page-fault-forcing";
+          Rule.bump_force_guard guard ctx ~hart ~probe:p;
           ctx.Rule.refs.(hart).Ref_model.force_exception exc tval;
           true
       | None ->
-          Rule.clear_force_guard ctx ~hart ~probe:p;
+          Rule.clear_force_guard guard ~hart ~probe:p;
           false)
     ()
 
@@ -50,18 +51,28 @@ let interrupt_forcing () =
 
 (* --- 3. SC failures (LR/SC timeout, §III-B2c) ------------------------- *)
 
+(* The guard counts consecutive forced failures of the SC at one pc;
+   an SC succeeding there resets it.  An SC that traps or is
+   interrupted did not execute, so it resets nothing. *)
 let sc_failure_forcing () =
+  let guard = Rule.force_guard "sc-failure-forcing" in
   Rule.make ~name:"sc-failure-forcing"
     ~descr:
       "SC may fail on reservation timeout or eviction; the DUT failure is \
        trusted and the REF SC is forced to fail too"
     ~pre:(fun ctx ~hart (p : Xiangshan.Probe.commit) ->
       if p.p_sc_failed then begin
-        Rule.bump_force_guard ctx ~hart ~probe:p ~rule:"sc-failure-forcing";
+        Rule.bump_force_guard guard ctx ~hart ~probe:p;
         ctx.Rule.refs.(hart).Ref_model.force_sc_failure ();
         true
       end
-      else false)
+      else begin
+        (match p.p_insn with
+        | Insn.Sc _ when Option.is_none p.p_trap && Option.is_none p.p_interrupt ->
+            Rule.clear_force_guard guard ~hart ~probe:p
+        | _ -> ());
+        false
+      end)
     ()
 
 (* --- 4. non-deterministic CSR reads ----------------------------------- *)

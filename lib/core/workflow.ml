@@ -51,7 +51,7 @@ let subject_of (dt : Difftest.t) : Difftest.t Lightsss.subject =
     detach_heavy =
       (fun () ->
         let words = gm.Global_memory.words in
-        gm.Global_memory.words <- Hashtbl.create 1;
+        gm.Global_memory.words <- Global_memory.Word_table.create 1;
         let reattach =
           List.map (fun (r : Ref_model.t) -> r.Ref_model.detach_derived ()) refs
         in

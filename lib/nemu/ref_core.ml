@@ -776,37 +776,51 @@ let step (t : t) : Iss.Interp.step_result =
 
 (* --- architectural-state diff ------------------------------------------ *)
 
-(* DUT-vs-REF comparison in exactly the [Riscv.Arch_state.diff]
-   message format, so failures read the same whichever REF is
-   active. *)
-let diff_against t (dut : Arch_state.t) : string option =
-  let m = t.m in
-  let buf = ref None in
-  let note msg = if !buf = None then buf := Some msg in
-  if dut.Arch_state.pc <> m.Mach.pc then
-    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" dut.Arch_state.pc m.Mach.pc);
+(* DUT-vs-REF comparison over the same numbered fields as
+   [Riscv.Arch_state.first_diff], reading the REF's Bigarray register
+   files directly: allocation-free unless a field differs, and
+   reported through [Arch_state.diff_message] so failures read the
+   same whichever REF is active. *)
+
+(* Does the DUT agree with the REF on x1-x31 and f0-f31?  Branch-free,
+   as in [Arch_state]. *)
+let same_files (dut : Arch_state.t) m =
+  let ra = dut.Arch_state.regs and rb = m.Mach.regs in
+  let fa = dut.Arch_state.fregs and fb = m.Mach.fregs in
+  let d =
+    ref (Int64.logxor (Array.unsafe_get fa 0) (Bigarray.Array1.unsafe_get fb 0))
+  in
   for i = 1 to 31 do
-    let rv = Bigarray.Array1.get m.Mach.regs i in
-    if !buf = None && dut.Arch_state.regs.(i) <> rv then
-      note
-        (Printf.sprintf "x%d(%s): 0x%Lx vs 0x%Lx" i (Insn.reg_name i)
-           dut.Arch_state.regs.(i) rv)
+    d :=
+      Int64.logor !d
+        (Int64.logor
+           (Int64.logxor (Array.unsafe_get ra i) (Bigarray.Array1.unsafe_get rb i))
+           (Int64.logxor (Array.unsafe_get fa i) (Bigarray.Array1.unsafe_get fb i)))
   done;
-  for i = 0 to 31 do
-    let fv = Bigarray.Array1.get m.Mach.fregs i in
-    if !buf = None && dut.Arch_state.fregs.(i) <> fv then
-      note (Printf.sprintf "f%d: 0x%Lx vs 0x%Lx" i dut.Arch_state.fregs.(i) fv)
-  done;
-  if !buf = None then begin
-    let da = Csr.compare_digest dut.Arch_state.csr
-    and db = Csr.compare_digest m.Mach.csr in
-    List.iter2
-      (fun (name, va) (_, vb) ->
-        if !buf = None && va <> vb then
-          note (Printf.sprintf "csr %s: 0x%Lx vs 0x%Lx" name va vb))
-      da db
-  end;
-  !buf
+  Int64.equal !d 0L
+
+let field_value t f =
+  let m = t.m in
+  if f = 0 then m.Mach.pc
+  else if f < 32 then Bigarray.Array1.get m.Mach.regs f
+  else if f < Arch_state.field_csr 0 then Bigarray.Array1.get m.Mach.fregs (f - 32)
+  else snd Csr.compared.(f - Arch_state.field_csr 0) m.Mach.csr
+
+let first_diff t (dut : Arch_state.t) =
+  let m = t.m in
+  if Int64.equal dut.Arch_state.pc m.Mach.pc && same_files dut m then
+    let k = Csr.first_diff dut.Arch_state.csr m.Mach.csr in
+    if k < 0 then -1 else Arch_state.field_csr k
+  else Arch_state.first_differing (Arch_state.field_value dut) (field_value t)
+
+let diff_against t (dut : Arch_state.t) : string option =
+  let f = first_diff t dut in
+  if f < 0 then None
+  else
+    Some
+      (Arch_state.diff_message f
+         ~dut:(Arch_state.field_value dut f)
+         ~ref_:(field_value t f))
 
 (* Standalone run loop (bench + conformance tests): retire up to
    [max_insns] instructions, returning how many actually retired. *)

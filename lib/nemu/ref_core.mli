@@ -125,8 +125,13 @@ val step : t -> Iss.Interp.step_result
 
 val run : ?max_insns:int -> t -> int
 
+val first_diff : t -> Arch_state.t -> int
+(** First compared field (numbered as in {!Riscv.Arch_state.first_diff})
+    on which the DUT state and this REF differ, or [-1].  Allocates
+    nothing. *)
+
 val diff_against : t -> Arch_state.t -> string option
 (** First difference between the DUT architectural state and this
-    REF, in the {!Riscv.Arch_state.diff} message format. *)
+    REF, rendered by {!Riscv.Arch_state.diff_message}. *)
 
 val flush_blocks : t -> unit

@@ -68,10 +68,12 @@ let check_invariant t ~cycle ~addr (e : entry) =
          "Trunk is held while %d other children also hold permissions"
          (!holders - 1))
 
-let child_index t name =
-  let idx = ref (-1) in
-  Array.iteri (fun i n -> if n = name then idx := i) t.children;
-  !idx
+let rec index_from children name i =
+  if i < 0 || String.equal (Array.unsafe_get children i) name then i
+  else index_from children name (i - 1)
+
+(* Called on every coherence event below the parent: no closure. *)
+let child_index t name = index_from t.children name (Array.length t.children - 1)
 
 (* Feed one coherence event (wire the whole SoC event stream here). *)
 let observe (t : t) (ev : Event.t) =

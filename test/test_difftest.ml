@@ -175,6 +175,85 @@ let test_global_memory_history () =
   Alcotest.(check (option int64)) "lookup" (Some 2L)
     (Minjie.Global_memory.lookup g ~paddr:0x1000L ~size:8)
 
+(* The livelock guards, driven through the standard rule list in order
+   with synthetic probes.  Each forcing rule counts its own consecutive
+   forces per (hart, pc): page-fault-forcing's reset on a non-trapping
+   commit must not clear sc-failure-forcing's count, and an SC
+   succeeding at that pc does. *)
+let test_force_guards_are_per_rule () =
+  let prog = (Workloads.Suite.find "coremark_like").program ~scale:1 in
+  let probe ?trap ?(sc_failed = false) insn =
+    {
+      Xiangshan.Probe.p_hartid = 0;
+      p_cycle = 100;
+      p_pc = 0x8000_0100L;
+      p_insn = insn;
+      p_second = None;
+      p_next_pc = 0x8000_0104L;
+      p_trap = trap;
+      p_interrupt = None;
+      p_load = None;
+      p_store = None;
+      p_sc_failed = sc_failed;
+      p_csr_read = None;
+      p_mmio = false;
+      p_instret = 0L;
+    }
+  in
+  let sc = Riscv.Insn.Sc (Riscv.Insn.Width_w, 10, 11, 12) in
+  let load = Riscv.Insn.Load (Riscv.Insn.LW, 10, 11, 0L) in
+  (* a fresh DiffTest context and standard rule list per scenario;
+     returns the rule that failed after each probe, if any *)
+  let drive probes =
+    let soc = Xiangshan.Soc.create Xiangshan.Config.yqh in
+    Xiangshan.Soc.load_program soc prog;
+    let ctx = Minjie.Difftest.ctx (Minjie.Difftest.create ~prog soc) in
+    let rules = Minjie.Rules.standard () in
+    List.mapi
+      (fun i p ->
+        List.iter
+          (fun (r : Minjie.Rule.t) ->
+            match r.Minjie.Rule.pre with
+            | Some f -> ignore (f ctx ~hart:0 p)
+            | None -> ())
+          rules;
+        match ctx.Minjie.Rule.failure with
+        | Some f -> Some (i, f.Minjie.Rule.f_rule)
+        | None -> None)
+      probes
+    |> List.find_map Fun.id
+  in
+  let n = Minjie.Rule.max_consecutive_forces in
+  let repeat k p = List.init k (fun _ -> p) in
+  let failing_sc = probe ~sc_failed:true sc in
+  Alcotest.(check (option (pair int string)))
+    "consecutive forced SC failures at one pc trip the SC guard"
+    (Some (n, "sc-failure-forcing"))
+    (drive (repeat 1000 failing_sc));
+  Alcotest.(check (option (pair int string)))
+    "an SC succeeding at that pc resets the count" None
+    (drive (repeat n failing_sc @ [ probe sc ] @ repeat n failing_sc));
+  Alcotest.(check (option (pair int string)))
+    "other commits at that pc do not reset the SC count"
+    (Some (n + 2, "sc-failure-forcing"))
+    (drive
+       (repeat n failing_sc @ [ probe load; probe load ] @ repeat n failing_sc));
+  Alcotest.(check (option (pair int string)))
+    "an SC that traps does not reset the SC count"
+    (Some (n + 1, "sc-failure-forcing"))
+    (drive
+       (repeat n failing_sc
+       @ [ probe ~trap:(Riscv.Trap.Store_page_fault, 0x1000L) sc ]
+       @ repeat n failing_sc));
+  let trapping = probe ~trap:(Riscv.Trap.Load_page_fault, 0x1000L) load in
+  Alcotest.(check (option (pair int string)))
+    "consecutive forced traps at one pc trip the page-fault guard"
+    (Some (n, "page-fault-forcing"))
+    (drive (repeat (n + 1) trapping));
+  Alcotest.(check (option (pair int string)))
+    "a non-trapping commit at that pc resets the page-fault count" None
+    (drive (repeat n trapping @ [ probe load ] @ repeat n trapping))
+
 let tests =
   List.map n_to_1_case configs_to_verify
   @ [
@@ -196,4 +275,6 @@ let tests =
         test_catches_skip_probe_bug;
       Alcotest.test_case "Global Memory history semantics" `Quick
         test_global_memory_history;
+      Alcotest.test_case "livelock guards are per rule" `Quick
+        test_force_guards_are_per_rule;
     ]

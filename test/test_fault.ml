@@ -84,6 +84,22 @@ let test_cells_are_seed_deterministic () =
   Alcotest.(check string) "same message" a.Minjie.Campaign.c_msg
     b.Minjie.Campaign.c_msg
 
+(* A fault that changes DUT state without a commit (csr-mtvec-corrupt
+   flips mtvec from a fault hook) is caught by the state compare in the
+   cycle it happens, under either REF: the compare runs every cycle,
+   not only on commit. *)
+let test_same_cycle_detection () =
+  let fault = Minjie.Fault.find "csr-mtvec-corrupt" in
+  List.iter
+    (fun kind ->
+      let c = Minjie.Campaign.run_cell ~ref_kind:kind ~fault ~seed:1 () in
+      let what = Minjie.Ref_model.kind_name kind in
+      Alcotest.(check string) (what ^ ": rule") "state-compare"
+        c.Minjie.Campaign.c_rule;
+      Alcotest.(check int) (what ^ ": latency cycles") 0
+        c.Minjie.Campaign.c_latency_cycles)
+    [ Minjie.Ref_model.Iss; Minjie.Ref_model.Nemu ]
+
 let tests =
   [
     Alcotest.test_case "registry well-formed" `Quick test_registry_well_formed;
@@ -96,4 +112,6 @@ let tests =
       test_hang_watchdog_fires;
     Alcotest.test_case "cells are seed-deterministic" `Slow
       test_cells_are_seed_deterministic;
+    Alcotest.test_case "state corruption caught in the same cycle" `Slow
+      test_same_cycle_detection;
   ]

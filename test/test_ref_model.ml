@@ -294,6 +294,109 @@ let test_campaign_smoke_both_refs () =
         both)
     [ "csr-mtvec-corrupt"; "rob-commit-reorder"; "lsu-sb-drop" ]
 
+(* The DiffTest compare: perturb one compared field of a DUT state at a
+   time.  The ISS REF ([Arch_state.diff]) and the NEMU REF
+   ([Ref_core.diff_against]) must both name exactly that field first,
+   in byte-identical messages; x0 and the timing-dependent counters
+   must not fire.  The CSR perturbations below are written against the
+   record fields, independently of [Csr.compared], so a table entry
+   reading the wrong field fails here. *)
+let csr_perturbations : (string * (Csr.t -> unit)) list =
+  let flip get set c = set c (Int64.logxor (get c) 0x10L) in
+  [
+    ("priv", fun c -> c.Csr.priv <- (if c.Csr.priv = Csr.M then Csr.S else Csr.M));
+    ("mstatus", flip (fun c -> c.Csr.reg_mstatus) (fun c v -> c.Csr.reg_mstatus <- v));
+    ("mepc", flip (fun c -> c.Csr.reg_mepc) (fun c v -> c.Csr.reg_mepc <- v));
+    ("mcause", flip (fun c -> c.Csr.reg_mcause) (fun c v -> c.Csr.reg_mcause <- v));
+    ("mtval", flip (fun c -> c.Csr.reg_mtval) (fun c v -> c.Csr.reg_mtval <- v));
+    ("mtvec", flip (fun c -> c.Csr.reg_mtvec) (fun c v -> c.Csr.reg_mtvec <- v));
+    ("mscratch", flip (fun c -> c.Csr.reg_mscratch) (fun c v -> c.Csr.reg_mscratch <- v));
+    ("medeleg", flip (fun c -> c.Csr.reg_medeleg) (fun c v -> c.Csr.reg_medeleg <- v));
+    ("mideleg", flip (fun c -> c.Csr.reg_mideleg) (fun c v -> c.Csr.reg_mideleg <- v));
+    ("mie", flip (fun c -> c.Csr.reg_mie) (fun c v -> c.Csr.reg_mie <- v));
+    ("sepc", flip (fun c -> c.Csr.reg_sepc) (fun c v -> c.Csr.reg_sepc <- v));
+    ("scause", flip (fun c -> c.Csr.reg_scause) (fun c v -> c.Csr.reg_scause <- v));
+    ("stval", flip (fun c -> c.Csr.reg_stval) (fun c v -> c.Csr.reg_stval <- v));
+    ("stvec", flip (fun c -> c.Csr.reg_stvec) (fun c v -> c.Csr.reg_stvec <- v));
+    ("sscratch", flip (fun c -> c.Csr.reg_sscratch) (fun c v -> c.Csr.reg_sscratch <- v));
+    ("satp", flip (fun c -> c.Csr.reg_satp) (fun c v -> c.Csr.reg_satp <- v));
+  ]
+
+let test_compare_field_coverage () =
+  let prog =
+    (Minjie.Campaign.find_workload "bwaves_like").Workloads.Wl_common.program
+      ~scale:1
+  in
+  let iss = Iss.Interp.create ~autonomous:false ~hartid:0 () in
+  Iss.Interp.load_program iss prog;
+  let nemu = Nemu.Ref_core.create ~hartid:0 () in
+  Nemu.Ref_core.load_program nemu prog;
+  for _ = 1 to 3000 do
+    ignore (Iss.Interp.step iss);
+    ignore (Nemu.Ref_core.step nemu)
+  done;
+  let iss_ref = Minjie.Ref_model.of_iss iss
+  and nemu_ref = Minjie.Ref_model.of_nemu nemu in
+  let reports dut =
+    ( Arch_state.first_diff dut iss.Iss.Interp.st,
+      Nemu.Ref_core.first_diff nemu dut,
+      iss_ref.Minjie.Ref_model.diff_against dut,
+      nemu_ref.Minjie.Ref_model.diff_against dut )
+  in
+  let expect_quiet what perturb =
+    let dut = Arch_state.copy iss.Iss.Interp.st in
+    perturb dut;
+    match reports dut with
+    | -1, -1, None, None -> ()
+    | fi, fn, mi, mn ->
+        Alcotest.failf "%s: expected no mismatch, got %d/%d %s / %s" what fi fn
+          (Option.value mi ~default:"-")
+          (Option.value mn ~default:"-")
+  in
+  expect_quiet "unperturbed" ignore;
+  let expect what field prefix perturb =
+    let dut = Arch_state.copy iss.Iss.Interp.st in
+    perturb dut;
+    let fi, fn, mi, mn = reports dut in
+    Alcotest.(check int) (what ^ ": ISS field") field fi;
+    Alcotest.(check int) (what ^ ": NEMU field") field fn;
+    match (mi, mn) with
+    | Some a, Some b ->
+        Alcotest.(check string) (what ^ ": identical messages") a b;
+        if not (String.starts_with ~prefix a) then
+          Alcotest.failf "%s: message %S does not start with %S" what a prefix
+    | _ -> Alcotest.failf "%s: a REF reported no mismatch" what
+  in
+  let flip a i = a.(i) <- Int64.logxor a.(i) 0x10L in
+  expect "pc" 0 "pc: " (fun d -> d.Arch_state.pc <- Int64.add d.Arch_state.pc 4L);
+  for i = 1 to 31 do
+    expect (Printf.sprintf "x%d" i) i (Printf.sprintf "x%d(" i) (fun d ->
+        flip d.Arch_state.regs i)
+  done;
+  for i = 0 to 31 do
+    expect (Printf.sprintf "f%d" i) (Arch_state.field_freg i)
+      (Printf.sprintf "f%d: " i) (fun d -> flip d.Arch_state.fregs i)
+  done;
+  Alcotest.(check (list string))
+    "compared CSRs, in report order"
+    (List.map fst csr_perturbations)
+    (Array.to_list (Array.map fst Csr.compared));
+  List.iteri
+    (fun k (name, perturb) ->
+      expect ("csr " ^ name) (Arch_state.field_csr k)
+        (Printf.sprintf "csr %s: " name)
+        (fun d -> perturb d.Arch_state.csr))
+    csr_perturbations;
+  Alcotest.(check int) "field count" (Arch_state.field_csr 16) Arch_state.field_count;
+  expect_quiet "x0" (fun d -> d.Arch_state.regs.(0) <- 0x5L);
+  expect_quiet "mcycle" (fun d ->
+      d.Arch_state.csr.Csr.reg_mcycle <- Int64.add d.Arch_state.csr.Csr.reg_mcycle 7L);
+  expect_quiet "minstret" (fun d ->
+      d.Arch_state.csr.Csr.reg_minstret <-
+        Int64.add d.Arch_state.csr.Csr.reg_minstret 7L);
+  expect_quiet "mip" (fun d ->
+      d.Arch_state.csr.Csr.reg_mip <- Int64.logxor d.Arch_state.csr.Csr.reg_mip 0x80L)
+
 let tests =
   [
     Alcotest.test_case "commit-stream lockstep over fuzz programs" `Slow
@@ -313,4 +416,6 @@ let tests =
       test_difftest_equivalence;
     Alcotest.test_case "campaign smoke subset under both REFs" `Slow
       test_campaign_smoke_both_refs;
+    Alcotest.test_case "state compare: every field, both REFs, one message"
+      `Quick test_compare_field_coverage;
   ]
