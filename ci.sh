@@ -112,18 +112,49 @@ rm -f ci_chaos.json
 
 echo "== kill-and-resume smoke (SIGKILL mid-campaign; --resume must reproduce the clean JSON byte for byte) =="
 BENCH=./_build/default/bench/main.exe
-"$BENCH" campaign --json ci_resume_clean.json >/dev/null
+# kill_mid_run PID JOURNAL: SIGKILL the background run PID once its
+# journal holds at least one record, that is once it has grown past
+# its size right after opening (8-byte magic, then the key frame: a
+# 4-byte length at offset 8, a 4-byte CRC, the key).  A fixed sleep
+# would outlast a run that got faster.  Fails when the run finishes
+# on its own first, since then nothing was interrupted.
+kill_mid_run() {
+  polls=0
+  until [ -f "$2" ] && [ "$(wc -c < "$2")" -ge 12 ]; do
+    polls=$((polls + 1)); [ "$polls" -lt 20000 ] || { echo "no journal from the run"; exit 1; }
+    sleep 0.001
+  done
+  opened=$((16 + $(od -An -tu4 -j8 -N4 "$2")))
+  until [ "$(wc -c < "$2")" -gt "$opened" ]; do
+    polls=$((polls + 1)); [ "$polls" -lt 20000 ] || { echo "the run journaled no record"; exit 1; }
+    sleep 0.001
+  done
+  kill -9 "$1" 2>/dev/null || true
+  set +e; wait "$1"; code=$?; set -e
+  if [ "$code" != 137 ]; then
+    echo "the run finished on its own (status $code) before the SIGKILL"; exit 1
+  fi
+}
+# check_resumed OUTPUT UNIT TOTAL: the resume line must report
+# 0 < N < TOTAL items replayed from the journal
+check_resumed() {
+  n=$(sed -n "s/^(journal: \([0-9]*\) $2(s) resumed.*/\1/p" "$1")
+  if [ -z "$n" ] || [ "$n" -le 0 ] || [ "$n" -ge "$3" ]; then
+    echo "resume replayed ${n:-no} $2(s) of $3; wanted 0 < N < $3"; exit 1
+  fi
+  echo "resumed $n of $3 $2(s)"
+}
+"$BENCH" campaign --json ci_resume_clean.json > ci_resume_clean.txt
+cells=$(sed -n 's/^campaign summary: \([0-9]*\) cells.*/\1/p' ci_resume_clean.txt)
 rm -f ci_resume.journal ci_resume_killed.json
 "$BENCH" campaign --json ci_resume_killed.json --journal ci_resume.journal >/dev/null &
-victim=$!
-sleep 0.5
-kill -9 "$victim" 2>/dev/null || true
-set +e; wait "$victim" >/dev/null 2>&1; set -e
-test -s ci_resume.journal
-"$BENCH" campaign --json ci_resume_done.json --journal ci_resume.journal --resume
+kill_mid_run $! ci_resume.journal
+"$BENCH" campaign --json ci_resume_done.json --journal ci_resume.journal --resume > ci_resume_done.txt
+check_resumed ci_resume_done.txt cell "$cells"
 # the resumed run's JSON must be byte-identical to the uninterrupted one
 diff ci_resume_clean.json ci_resume_done.json
 rm -f ci_resume_clean.json ci_resume_killed.json ci_resume_done.json ci_resume.journal
+rm -f ci_resume_clean.txt ci_resume_done.txt
 
 echo "== fuzz smoke (coverage-guided campaign; same seed must be byte-identical) =="
 dune exec bench/main.exe -- fuzz --smoke --seed 1 --json ci_fuzz_a.json
@@ -143,18 +174,17 @@ diff ci_fuzz_cli_a.txt ci_fuzz_cli_b.txt
 rm -f ci_fuzz_cli_a.txt ci_fuzz_cli_b.txt
 
 echo "== fuzz kill-and-resume smoke (SIGKILL mid-round; --resume must reproduce the clean JSON byte for byte) =="
-"$BENCH" fuzz --json ci_fuzz_clean.json >/dev/null
+"$BENCH" fuzz --json ci_fuzz_clean.json > ci_fuzz_clean.txt
+execs=$(sed -n 's/^fuzz summary: \([0-9]*\) exec(s).*/\1/p' ci_fuzz_clean.txt)
 rm -f ci_fuzz.journal ci_fuzz_killed.json
 "$BENCH" fuzz --json ci_fuzz_killed.json --journal ci_fuzz.journal >/dev/null &
-victim=$!
-sleep 0.5
-kill -9 "$victim" 2>/dev/null || true
-set +e; wait "$victim" >/dev/null 2>&1; set -e
-test -s ci_fuzz.journal
-"$BENCH" fuzz --json ci_fuzz_done.json --journal ci_fuzz.journal --resume
+kill_mid_run $! ci_fuzz.journal
+"$BENCH" fuzz --json ci_fuzz_done.json --journal ci_fuzz.journal --resume > ci_fuzz_done.txt
+check_resumed ci_fuzz_done.txt exec "$execs"
 # journaled execs replay, the rest recompute: same bytes either way
 diff ci_fuzz_clean.json ci_fuzz_done.json
 rm -f ci_fuzz_clean.json ci_fuzz_killed.json ci_fuzz_done.json ci_fuzz.journal
+rm -f ci_fuzz_clean.txt ci_fuzz_done.txt
 
 echo "== clean shutdown: SIGTERM exits 143 and leaves no orphan workers =="
 "$BENCH" campaign --jobs 2 --json ci_term.json >/dev/null &

@@ -196,7 +196,7 @@ let mem_ceiling_exit_code = 97
    (which would re-flush inherited channel buffers).  A result that
    cannot be marshalled (closures, custom blocks) is reported as the
    job's error rather than tearing the pipe mid-write. *)
-let worker ~attempt ~mem_limit_mb wr job =
+let worker ~attempt ~mem_limit_mb ~sigmask wr job =
   (* if the parent is gone the write must fail with EPIPE (handled
      below), not kill us through the default SIGPIPE action *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -205,6 +205,9 @@ let worker ~attempt ~mem_limit_mb wr job =
      escalation works as designed *)
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
+  (* [spawn] forked with both signals blocked; with the defaults back
+     in place they may arrive *)
+  ignore (Unix.sigprocmask Unix.SIG_SETMASK sigmask : int list);
   (* per-worker memory ceiling.  OCaml's Unix module has no setrlimit
      binding, so the ceiling is enforced cooperatively: a Gc alarm
      checks the major heap after every major collection and exits with
@@ -256,14 +259,25 @@ let spawn ~timeout ~attempt ~mem_limit_mb index slot (job : 'r job) :
      is printed twice *)
   flush stdout;
   flush stderr;
+  (* SIGINT/SIGTERM stay blocked from before the fork until the new
+     pid is in [live_pids]: a shutdown handler running in between
+     would not know the worker, which would then outlive the exit.
+     The child unblocks them in [worker], once it has reset their
+     handlers. *)
+  let sigmask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ] in
+  let unblock () = ignore (Unix.sigprocmask Unix.SIG_SETMASK sigmask : int list) in
   match Unix.fork () with
+  | exception e ->
+      unblock ();
+      raise e
   | 0 ->
       Unix.close rd;
-      worker ~attempt ~mem_limit_mb wr job
+      worker ~attempt ~mem_limit_mb ~sigmask wr job
   | pid ->
-      Unix.close wr;
-      Unix.set_nonblock rd;
-      Hashtbl.replace live_pids pid ();
+      Fun.protect ~finally:unblock (fun () ->
+          Unix.close wr;
+          Unix.set_nonblock rd;
+          Hashtbl.replace live_pids pid ());
       {
         a_index = index;
         a_label = job.j_label;

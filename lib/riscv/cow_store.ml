@@ -17,7 +17,19 @@
    A one-entry last-page cache (separate for reads and writes) skips the
    page-table indexing on sequential access.  The caches are invalidated
    whenever the page array or a page's backing store changes (COW,
-   snapshot restore, detach). *)
+   snapshot restore, detach).
+
+   Page bytes are recycled.  When a page's reference count drops to
+   zero (a snapshot released, or a restore dropping the pages it
+   replaces) no store and no snapshot can reach its bytes any more, so
+   they go onto a spare list, and the next COW fault copies into a
+   spare instead of allocating.  LightSSS releases its older snapshot
+   every interval and the next interval COW-faults about as many pages
+   again, so the copies are reused rather than left for the major GC
+   to find.  The list is module-level (every page has the same size,
+   and a marshalled store must not carry spare bytes) and holds at
+   most [max_spare_pages] pages (1 MiB); pages beyond that are left to
+   the GC. *)
 
 let page_bits = 12
 
@@ -44,6 +56,35 @@ type t = {
   mutable stat_pages_allocated : int;
   mutable stat_snapshots : int;
 }
+
+(* --- the spare list ---------------------------------------------- *)
+
+let max_spare_pages = 256
+
+let spares = Array.make max_spare_pages Bytes.empty
+
+let n_spares = ref 0
+
+let spare_pages () = !n_spares
+
+(* Drop one reference to [p]; at zero its bytes become a spare. *)
+let unref p =
+  p.rc <- p.rc - 1;
+  if p.rc = 0 && !n_spares < max_spare_pages then begin
+    spares.(!n_spares) <- p.data;
+    incr n_spares
+  end
+
+(* A copy of [src]: into a spare when there is one. *)
+let copy_page src =
+  if !n_spares = 0 then Bytes.copy src
+  else begin
+    decr n_spares;
+    let dst = spares.(!n_spares) in
+    spares.(!n_spares) <- Bytes.empty;
+    Bytes.blit src 0 dst 0 page_size;
+    dst
+  end
 
 (* The allocated pages at snapshot time and their indices. *)
 type snapshot = { s_idx : int array; s_pages : page array }
@@ -105,7 +146,7 @@ let page_rw t idx =
       p
   | Some p ->
       if p.rc > 1 then begin
-        let fresh = { data = Bytes.copy p.data; rc = 1 } in
+        let fresh = { data = copy_page p.data; rc = 1 } in
         p.rc <- p.rc - 1;
         t.pages.(idx) <- Some fresh;
         t.stat_cow_faults <- t.stat_cow_faults + 1;
@@ -159,15 +200,14 @@ let snapshot t =
   t.cache_w_idx <- -1;
   { s_idx; s_pages }
 
-let release (s : snapshot) = Array.iter (fun p -> p.rc <- p.rc - 1) s.s_pages
+let release (s : snapshot) = Array.iter unref s.s_pages
 
 let restore t (s : snapshot) =
   (* a store unmarshalled from a LightSSS image has no page array yet *)
   if Array.length t.pages <> t.n_pages then t.pages <- Array.make t.n_pages None;
   for k = 0 to t.n_live - 1 do
     let idx = t.live.(k) in
-    let p = page t idx in
-    p.rc <- p.rc - 1;
+    unref (page t idx);
     t.pages.(idx) <- None
   done;
   (* The snapshot keeps its reference so it can be restored again. *)

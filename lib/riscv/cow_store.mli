@@ -14,6 +14,11 @@
     all-zero as the reset state.  A one-entry last-page cache (separate
     read/write) skips page-table indexing on sequential access.
 
+    A page whose reference count drops to zero (its last snapshot
+    released, or dropped by a restore) gives its bytes to a
+    module-level spare list of at most {!max_spare_pages} pages, and a
+    COW fault copies into a spare before it allocates.
+
     The representation is exposed so interpreter fast paths can probe
     the last-page caches inline; treat the fields as read-only
     elsewhere. *)
@@ -80,7 +85,15 @@ val restore : t -> snapshot -> unit
     unmarshalled without one. *)
 
 val release : snapshot -> unit
-(** Drop the snapshot's page references. *)
+(** Drop the snapshot's page references; pages no store or snapshot
+    holds any more become spares.  A released snapshot must not be
+    restored. *)
+
+val max_spare_pages : int
+(** Bound of the spare list: 256 pages. *)
+
+val spare_pages : unit -> int
+(** Pages on the spare list now. *)
 
 val with_pages_detached : t list -> (unit -> 'a) -> 'a
 (** Run [f] with every store's page array replaced by an empty one (and

@@ -12,10 +12,12 @@
    semantics"): phase 1 ([step]) lets every unit -- commit, issue,
    store-buffer drain, dispatch, fetch -- compute its plan for the
    cycle from the read-only start-of-cycle state and return it as a
-   typed effect record; phase 2 ([apply]) commits all effects in one
-   canonical order with explicit arbitration for the structural
-   hazards (snapshot-claimed ROB/IQ/LSU slots, redirect-vs-commit
-   priority, fault hooks firing at the effect boundary).  Phase-1
+   typed effect record (issue and dispatch keep the bulk of their
+   plans in scratch buffers only their own appliers read); phase 2
+   ([apply]) commits all effects in one canonical order with explicit
+   arbitration for the structural hazards (snapshot-claimed ROB/IQ/LSU
+   slots, redirect-vs-commit priority, fault hooks firing at the
+   effect boundary).  Phase-1
    purity is not enforced by the type system (OCaml has no const);
    it is enforced by the seeded permutation harness: stepping the
    units in any order must produce byte-identical behaviour
@@ -38,6 +40,49 @@ type fetch_item = {
 }
 
 type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
+
+(* One admitted uop of the dispatch group: the planner's private
+   scratch, preallocated per core and overwritten every cycle; only
+   [apply_dispatch] of the same cycle reads it.  The uop itself is
+   built there, from these fields, once it is really dispatched. *)
+type disp_plan = {
+  mutable pl_seq : int; (* sequence number pre-assigned from the snapshot *)
+  mutable pl_item : fetch_item; (* head fetch-queue item consumed *)
+  mutable pl_second : fetch_item; (* fused successor, also consumed; else no_item *)
+  mutable pl_fusion : Uop.fusion option;
+  mutable pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
+  mutable pl_eliminated : bool; (* move elimination: alias, no alloc, no issue *)
+  (* Fusion.fused_regs of the pair; pl_int_rd is normalised (x0 writes
+     dropped); -1 = no destination *)
+  mutable pl_int_srcs : int list;
+  mutable pl_fp_srcs : int list;
+  mutable pl_int_rd : int;
+  mutable pl_fp_rd : int;
+}
+
+(* The filler of the fetch queue's empty slots. *)
+let no_item =
+  {
+    fi_pc = 0L;
+    fi_insn = Insn.Illegal 0l;
+    fi_pred_next = 0L;
+    fi_fault = None;
+    fi_fetched_at = 0;
+  }
+
+let make_plan () =
+  {
+    pl_seq = -1;
+    pl_item = no_item;
+    pl_second = no_item;
+    pl_fusion = None;
+    pl_iq = -1;
+    pl_eliminated = false;
+    pl_int_srcs = [];
+    pl_fp_srcs = [];
+    pl_int_rd = -1;
+    pl_fp_rd = -1;
+  }
 
 type perf = {
   mutable p_cycles : int;
@@ -136,7 +181,11 @@ type t = {
   mutable fetch_pc : int64;
   mutable fetch_stalled : bool;
   mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_item Queue.t;
+  fetch_queue : fetch_item Ring.t; (* capacity fetch_buffer + fetch_width *)
+  (* dispatch planner scratch: the admitted group and the IQ
+     occupancies it has claimed *)
+  disp : disp_plan array;
+  disp_iq_occ : int array;
   mutable commit_busy_until : int; (* at-commit execution occupancy *)
   (* top-down attribution state: a flush opens a bad-speculation
      recovery window; an L1I miss opens a frontend-icache window *)
@@ -251,7 +300,10 @@ let create (cfg : Config.t) ~hartid ~(plat : Platform.t)
     fetch_pc = Platform.dram_base;
     fetch_stalled = false;
     inflight = None;
-    fetch_queue = Queue.create ();
+    fetch_queue =
+      Ring.create ~capacity:(cfg.fetch_buffer + cfg.fetch_width) no_item;
+    disp = Array.init cfg.decode_width (fun _ -> make_plan ());
+    disp_iq_occ = Array.make (List.length cfg.iqs) 0;
     commit_busy_until = 0;
     recover_until = 0;
     recover_misp = false;
@@ -282,6 +334,11 @@ let sync_regfile_from_arch t =
     Rename.set_result t.rename ~is_fp:true ~prd:pfd
       ~value:(Arch_state.get_freg t.arch r) ~ready_at:0
   done
+
+(* Int-typed min/max: Stdlib's are polymorphic compares. *)
+let imin (a : int) b = if a <= b then a else b
+
+let imax (a : int) b = if a >= b then a else b
 
 (* ---------------- flush / redirect ---------------------------------- *)
 
@@ -324,13 +381,13 @@ let flush ?(cause = `Other) t ~after ~target =
   t.seq <- t.rob.Rob.tail;
   Array.iter Iq.drop_squashed t.iqs;
   Lsu.drop_squashed t.lsu;
-  Queue.clear t.fetch_queue;
+  Ring.clear t.fetch_queue;
   t.inflight <- None;
   t.fetch_stalled <- false;
   t.fetch_pc <- target;
   (* open a bad-speculation recovery window for top-down attribution;
      a mispredict redirect overrides [recover_misp] at its call site *)
-  t.recover_until <- max t.recover_until (t.now + mispredict_penalty);
+  t.recover_until <- imax t.recover_until (t.now + mispredict_penalty);
   t.recover_misp <- false
 
 (* ================= effect records (phase-1 output) =================== *)
@@ -347,9 +404,9 @@ type commit_eff = {
   ce_msip : bool; (* CLINT software-interrupt line, sampled *)
 }
 
+(* The picks themselves stay in each IQ's [chosen] buffer. *)
 type issue_eff = {
   ie_ready_total : int; (* Figure 15: ready instructions before selection *)
-  ie_chosen : Uop.t list array; (* per-IQ selection (age/PUBS policy) *)
 }
 
 type drain_eff = { de_fire : bool (* store buffer eligible to drain one entry *) }
@@ -362,22 +419,8 @@ type stall_kind =
   | Freelist_int
   | Freelist_fp
 
-type disp_plan = {
-  pl_uop : Uop.t; (* pre-built uop, seq pre-assigned from the snapshot *)
-  pl_item : fetch_item; (* head fetch-queue item consumed *)
-  pl_second : fetch_item option; (* second item consumed when fused *)
-  pl_iq : int; (* target IQ index, -1 = none (at-commit / fault) *)
-  pl_eliminated : bool; (* move elimination: alias, no alloc, no issue *)
-  (* Fusion.fused_regs of pl_uop, cached so apply never recomputes;
-     pl_int_rd is normalised (x0 writes dropped) *)
-  pl_int_srcs : int list;
-  pl_fp_srcs : int list;
-  pl_int_rd : int option;
-  pl_fp_rd : int option;
-}
-
 type dispatch_eff = {
-  dp_plans : disp_plan list; (* in program order *)
+  dp_n : int; (* admitted uops, planned in [t.disp.(0 .. dp_n-1)] *)
   dp_stall : stall_kind option; (* first scarce resource, if any *)
 }
 
@@ -394,21 +437,37 @@ type effects = {
   ef_fetch : fetch_eff;
 }
 
+(* The effects of a cycle in which no unit acts: the filler of
+   preallocated effect arrays. *)
+let no_effects =
+  {
+    ef_commit = { ce_mtip = false; ce_msip = false };
+    ef_issue = { ie_ready_total = 0 };
+    ef_drain = { de_fire = false };
+    ef_dispatch = { dp_n = 0; dp_stall = None };
+    ef_fetch = { fe_complete = false; fe_start = false };
+  }
+
 (* ---------------- fetch ---------------------------------------------- *)
 
 let fetch_block_bytes = 32
+
+let rec enqueue_items t = function
+  | [] -> ()
+  | it :: rest ->
+      it.fi_fetched_at <- t.now;
+      Ring.push t.fetch_queue it;
+      enqueue_items t rest
 
 (* Move a completed bundle's items into the fetch queue. *)
 let fetch_complete_now t =
   match t.inflight with
   | Some b when t.now >= b.fb_ready_at ->
-      List.iter
-        (fun it ->
-          it.fi_fetched_at <- t.now;
-          Queue.add it t.fetch_queue)
-        b.fb_items;
+      enqueue_items t b.fb_items;
       t.inflight <- None
   | Some _ | None -> ()
+
+let no_inflight t = match t.inflight with None -> true | Some _ -> false
 
 (* Start a new fetch bundle at [t.fetch_pc]: translate, probe the
    icache, decode and predict up to fetch_width sequential slots.
@@ -457,7 +516,7 @@ let fetch_start_bundle t =
         if icache_lat > t.l1i.Softmem.Cache.hit_latency then begin
           Perf.Perf_counter.incr t.ctrs t.ids.i_icache_miss;
           t.icache_stall_until <-
-            max t.icache_stall_until (t.now + tlb_lat + icache_lat)
+            imax t.icache_stall_until (t.now + tlb_lat + icache_lat)
         end;
         let items = ref [] in
         let next_fetch = ref (Int64.add pc0 (Int64.of_int 4)) in
@@ -506,9 +565,9 @@ let fetch_start_bundle t =
 let fetch_live t =
   fetch_complete_now t;
   if
-    t.inflight = None
+    no_inflight t
     && (not t.fetch_stalled)
-    && Queue.length t.fetch_queue + t.cfg.fetch_width <= t.cfg.fetch_buffer
+    && Ring.length t.fetch_queue + t.cfg.fetch_width <= t.cfg.fetch_buffer
   then fetch_start_bundle t
 
 (* Phase 1: decide bundle completion and new-bundle start from the
@@ -521,13 +580,13 @@ let step_fetch t : fetch_eff =
     match t.inflight with Some b -> v_now >= b.fb_ready_at | None -> false
   in
   let qlen =
-    Queue.length t.fetch_queue
+    Ring.length t.fetch_queue
     + (match t.inflight with
       | Some b when v_now >= b.fb_ready_at -> List.length b.fb_items
       | _ -> 0)
   in
   let fe_start =
-    (t.inflight = None || fe_complete)
+    (no_inflight t || fe_complete)
     && (not t.fetch_stalled)
     && qlen + t.cfg.fetch_width <= t.cfg.fetch_buffer
   in
@@ -541,7 +600,7 @@ let apply_fetch t (eff : fetch_eff) =
     fetch_live t
   else begin
     if eff.fe_complete then fetch_complete_now t;
-    if eff.fe_start && t.inflight = None && not t.fetch_stalled then
+    if eff.fe_start && no_inflight t && not t.fetch_stalled then
       fetch_start_bundle t
   end
 
@@ -560,14 +619,19 @@ let rec mark_slice t ~depth (arch_srcs : int list) =
             | Some p when p.Uop.state <> Uop.Completed && not p.Uop.priority ->
                 p.Uop.priority <- true;
                 t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-                let srcs, _, _, _ = Fusion.fused_regs p in
+                let srcs, _, _, _ =
+                  Fusion.fused_regs p.Uop.fusion p.Uop.insn p.Uop.second
+                in
                 mark_slice t ~depth:(depth - 1) srcs
             | Some _ | None -> ())
       arch_srcs
 
+let no_fault (it : fetch_item) =
+  match it.fi_fault with None -> true | Some _ -> false
+
 (* Is this instruction a move-eliminable register copy? *)
 let move_eliminable t (it : fetch_item) ~fused =
-  t.cfg.move_elim && (not fused) && it.fi_fault = None
+  t.cfg.move_elim && (not fused) && no_fault it
   &&
   match it.fi_insn with
   | Op_imm (ADD, rd, rs, 0L) when rd <> 0 && rs <> 0 -> true
@@ -577,152 +641,219 @@ let move_eliminable t (it : fetch_item) ~fused =
    Structural claims (ROB/IQ/LQ/SQ slots, free physical registers) are
    threaded through the plan so the group can never over-subscribe the
    start-of-cycle occupancies; slots freed by commit or issue in the
-   same cycle become usable next cycle.  The fetch queue is walked
-   lazily via [Queue.to_seq] -- the queue is unmodified during phase 1,
-   so forcing a node is O(1) and only the decode_width prefix is ever
-   touched (this also retires the old per-item Queue.copy fusion
-   probe). *)
+   same cycle become usable next cycle.  Admission is decided from the
+   fetch items alone (class, placement, register usage), walking the
+   fetch queue by index; the admitted group goes into the
+   planner-private [t.disp] and no uop is built here, so a stalled
+   cycle (most often a full integer free list) costs little. *)
 let step_dispatch t : dispatch_eff =
-  if Queue.is_empty t.fetch_queue then { dp_plans = []; dp_stall = None }
+  let q = t.fetch_queue in
+  let qlen = Ring.length q in
+  if qlen = 0 then no_effects.ef_dispatch
   else begin
+    let iq_occ = t.disp_iq_occ in
+    for i = 0 to Array.length t.iqs - 1 do
+      iq_occ.(i) <- Iq.occupancy t.iqs.(i)
+    done;
     let rob_free = ref (t.cfg.rob_size - Rob.count t.rob) in
-    let iq_occ = Array.map Iq.occupancy t.iqs in
     let lq_free = ref (t.cfg.lq_size - Lsu.lq_occupancy t.lsu) in
     let sq_free = ref (t.cfg.sq_size - Lsu.sq_occupancy t.lsu) in
     let int_free = ref (Rename.free_count t.rename ~is_fp:false) in
     let fp_free = ref (Rename.free_count t.rename ~is_fp:true) in
-    let seq = ref t.seq in
     let budget = ref t.cfg.decode_width in
-    let plans = ref [] in
+    let pos = ref 0 (* next fetch-queue index *) and n = ref 0 in
     let stall = ref None in
-    let rec go (node : fetch_item Seq.node) =
-      if !budget > 0 && !stall = None then
-        match node with
-        | Seq.Nil -> ()
-        | Seq.Cons (it, rest) ->
-            if !rob_free <= 0 then stall := Some Rob_full
-            else begin
-              let tail = Lazy.from_fun rest in
-              (* fusion candidate: the next queued instruction, only if
-                 it is the sequential successor *)
-              let second =
-                if
-                  t.cfg.fusion && !budget >= 2
-                  && it.fi_pred_next = Int64.add it.fi_pc 4L
-                then
-                  match Lazy.force tail with
-                  | Seq.Cons (s, _) when s.fi_pc = Int64.add it.fi_pc 4L ->
-                      Some s
-                  | _ -> None
-                else None
-              in
-              let fusion =
-                match second with
-                | Some s -> Fusion.try_fuse it.fi_insn s.fi_insn
-                | None -> None
-              in
-              let second_item = if fusion = None then None else second in
-              let second_insn, pred_next =
-                match (fusion, second_item) with
-                | Some _, Some s -> (Some s.fi_insn, s.fi_pred_next)
-                | _ -> (None, it.fi_pred_next)
-              in
-              let u =
-                Uop.make ~seq:!seq ~pc:it.fi_pc ~insn:it.fi_insn
-                  ~second:second_insn ~fusion ~pred_next
-              in
-              (match it.fi_fault with
-              | Some e -> u.Uop.exc <- Some e
-              | None -> ());
-              let int_srcs, fp_srcs, int_rd, fp_rd = Fusion.fused_regs u in
-              let int_rd = match int_rd with Some 0 -> None | r -> r in
-              let needs_int_rd = int_rd <> None in
-              let needs_fp_rd = fp_rd <> None in
-              let iq_target =
-                if u.Uop.where = Uop.In_iq && it.fi_fault = None then begin
-                  (* least-occupied accepting IQ, snapshot + planned *)
-                  let best = ref (-1) in
-                  Array.iteri
-                    (fun i iq ->
-                      if
-                        Iq.accepts iq u.Uop.exec_class
-                        && iq_occ.(i) < Iq.capacity iq
-                      then
-                        match !best with
-                        | -1 -> best := i
-                        | b -> if iq_occ.(i) < iq_occ.(b) then best := i)
-                    t.iqs;
-                  !best
-                end
-                else -1
-              in
-              let iq_ok =
-                u.Uop.where <> Uop.In_iq || it.fi_fault <> None || iq_target >= 0
-              in
-              let lsu_ok =
-                (not (Uop.is_load u) || !lq_free > 0)
-                && ((not (Uop.is_store u)) || !sq_free > 0)
-              in
-              let int_free_ok = (not needs_int_rd) || !int_free > 0 in
-              let fp_free_ok = (not needs_fp_rd) || !fp_free > 0 in
+    while !budget > 0 && !pos < qlen && Option.is_none !stall do
+      let it = Ring.get q !pos in
+      if !rob_free <= 0 then stall := Some Rob_full
+      else begin
+        (* fusion candidate: the next queued instruction, only if it is
+           the sequential successor *)
+        let fusion =
+          if
+            t.cfg.fusion && !budget >= 2
+            && it.fi_pred_next = Int64.add it.fi_pc 4L
+            && !pos + 1 < qlen
+          then
+            let s = Ring.get q (!pos + 1) in
+            if s.fi_pc = Int64.add it.fi_pc 4L then
+              Fusion.try_fuse it.fi_insn s.fi_insn
+            else None
+          else None
+        in
+        let fused = match fusion with Some _ -> true | None -> false in
+        let second = if fused then Ring.get q (!pos + 1) else no_item in
+        let int_srcs, fp_srcs, int_rd, fp_rd =
+          Fusion.fused_regs fusion it.fi_insn
+            (if fused then Some second.fi_insn else None)
+        in
+        let int_rd = match int_rd with Some r when r <> 0 -> r | _ -> -1 in
+        let fp_rd = match fp_rd with Some r -> r | None -> -1 in
+        let fault_free = no_fault it in
+        let cls, where = Uop.classify it.fi_insn in
+        let in_iq = where = Uop.In_iq in
+        let is_load = in_iq && Insn.is_load it.fi_insn in
+        let is_store = Uop.is_store_insn it.fi_insn in
+        let iq_target =
+          if in_iq && fault_free then begin
+            (* least-occupied accepting IQ, snapshot + planned *)
+            let best = ref (-1) in
+            for i = 0 to Array.length t.iqs - 1 do
+              let iq = t.iqs.(i) in
               if
-                (not iq_ok) || (not lsu_ok) || (not int_free_ok)
-                || not fp_free_ok
-              then
-                (* attribute the stall to the first scarce resource *)
-                stall :=
-                  Some
-                    (if not iq_ok then Iq_full
-                     else if not lsu_ok then
-                       if Uop.is_load u && !lq_free <= 0 then Lq_full
-                       else Sq_full
-                     else if not int_free_ok then Freelist_int
-                     else Freelist_fp)
-              else begin
-                let eliminated = move_eliminable t it ~fused:(fusion <> None) in
-                (* thread the claims the group has now taken *)
-                decr rob_free;
-                if it.fi_fault = None && not eliminated then begin
-                  if iq_target >= 0 then
-                    iq_occ.(iq_target) <- iq_occ.(iq_target) + 1;
-                  if Uop.is_load u then decr lq_free;
-                  if Uop.is_store u then decr sq_free
-                end;
-                if not eliminated then begin
-                  if needs_int_rd then decr int_free;
-                  if needs_fp_rd then decr fp_free
-                end;
-                incr seq;
-                plans :=
-                  {
-                    pl_uop = u;
-                    pl_item = it;
-                    pl_second = second_item;
-                    pl_iq = (if it.fi_fault = None then iq_target else -1);
-                    pl_eliminated = eliminated;
-                    pl_int_srcs = int_srcs;
-                    pl_fp_srcs = fp_srcs;
-                    pl_int_rd = int_rd;
-                    pl_fp_rd = fp_rd;
-                  }
-                  :: !plans;
-                if second_item <> None then begin
-                  budget := !budget - 2;
-                  (* skip the fused successor *)
-                  match Lazy.force tail with
-                  | Seq.Cons (_, rest2) -> go (rest2 ())
-                  | Seq.Nil -> ()
-                end
-                else begin
-                  decr budget;
-                  go (Lazy.force tail)
-                end
-              end
-            end
-    in
-    go (Queue.to_seq t.fetch_queue ());
-    { dp_plans = List.rev !plans; dp_stall = !stall }
+                Iq.accepts iq cls
+                && iq_occ.(i) < Iq.capacity iq
+                && (!best < 0 || iq_occ.(i) < iq_occ.(!best))
+              then best := i
+            done;
+            !best
+          end
+          else -1
+        in
+        let iq_ok = (not in_iq) || (not fault_free) || iq_target >= 0 in
+        let lsu_ok =
+          ((not is_load) || !lq_free > 0) && ((not is_store) || !sq_free > 0)
+        in
+        let int_free_ok = int_rd < 0 || !int_free > 0 in
+        let fp_free_ok = fp_rd < 0 || !fp_free > 0 in
+        if not (iq_ok && lsu_ok && int_free_ok && fp_free_ok) then
+          (* attribute the stall to the first scarce resource *)
+          stall :=
+            if not iq_ok then Some Iq_full
+            else if not lsu_ok then
+              if is_load && !lq_free <= 0 then Some Lq_full else Some Sq_full
+            else if not int_free_ok then Some Freelist_int
+            else Some Freelist_fp
+        else begin
+          let eliminated = move_eliminable t it ~fused in
+          (* thread the claims the group has now taken *)
+          decr rob_free;
+          if fault_free && not eliminated then begin
+            if iq_target >= 0 then iq_occ.(iq_target) <- iq_occ.(iq_target) + 1;
+            if is_load then decr lq_free;
+            if is_store then decr sq_free
+          end;
+          if not eliminated then begin
+            if int_rd >= 0 then decr int_free;
+            if fp_rd >= 0 then decr fp_free
+          end;
+          let p = t.disp.(!n) in
+          p.pl_seq <- t.seq + !n;
+          p.pl_item <- it;
+          p.pl_second <- second;
+          p.pl_fusion <- fusion;
+          p.pl_iq <- (if fault_free then iq_target else -1);
+          p.pl_eliminated <- eliminated;
+          p.pl_int_srcs <- int_srcs;
+          p.pl_fp_srcs <- fp_srcs;
+          p.pl_int_rd <- int_rd;
+          p.pl_fp_rd <- fp_rd;
+          incr n;
+          (* a fused pair takes two decode slots and two queue items *)
+          let w = if fused then 2 else 1 in
+          budget := !budget - w;
+          pos := !pos + w
+        end
+      end
+    done;
+    { dp_n = !n; dp_stall = !stall }
   end
+
+(* Rename a source list into [psrc]/[psrc_fp] from index [i]. *)
+let rec rename_srcs t psrc psrc_fp ~is_fp i = function
+  | [] -> ()
+  | r :: rest ->
+      psrc.(i) <- Rename.lookup t.rename ~is_fp r;
+      psrc_fp.(i) <- is_fp;
+      rename_srcs t psrc psrc_fp ~is_fp (i + 1) rest
+
+(* Dispatch one planned uop: consume its queue items, build the uop,
+   rename it and push it into the ROB/IQ/LSU. *)
+let dispatch_one t (p : disp_plan) =
+  let it = p.pl_item in
+  let fused = match p.pl_fusion with Some _ -> true | None -> false in
+  ignore (Ring.pop t.fetch_queue);
+  if fused then ignore (Ring.pop t.fetch_queue);
+  let u =
+    Uop.make ~seq:p.pl_seq ~pc:it.fi_pc ~insn:it.fi_insn
+      ~second:(if fused then Some p.pl_second.fi_insn else None)
+      ~fusion:p.pl_fusion
+      ~pred_next:(if fused then p.pl_second.fi_pred_next else it.fi_pred_next)
+  in
+  u.Uop.exc <- it.fi_fault;
+  (* rename sources *)
+  let int_srcs = p.pl_int_srcs and fp_srcs = p.pl_fp_srcs in
+  let n_int = List.length int_srcs in
+  let n = n_int + List.length fp_srcs in
+  let psrc = Array.make n 0 and psrc_fp = Array.make n false in
+  rename_srcs t psrc psrc_fp ~is_fp:false 0 int_srcs;
+  rename_srcs t psrc psrc_fp ~is_fp:true n_int fp_srcs;
+  u.Uop.psrc <- psrc;
+  u.Uop.psrc_fp <- psrc_fp;
+  (match (p.pl_eliminated, it.fi_insn) with
+  | true, Op_imm (ADD, rd, rs, _) ->
+      let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
+      u.Uop.arch_rd <- rd;
+      u.Uop.prd <- prd;
+      u.Uop.old_prd <- old_prd;
+      u.Uop.state <- Uop.Completed;
+      u.Uop.done_at <- t.now;
+      u.Uop.eliminated <- true;
+      t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
+      t.def_table.(rd) <- u.Uop.seq
+  | _ ->
+      let rd = p.pl_int_rd in
+      if rd >= 0 then begin
+        let prd, old_prd = Rename.alloc t.rename ~is_fp:false ~arch:rd ~now:t.now in
+        u.Uop.arch_rd <- rd;
+        u.Uop.rd_is_fp <- false;
+        u.Uop.prd <- prd;
+        u.Uop.old_prd <- old_prd;
+        t.def_table.(rd) <- u.Uop.seq
+      end;
+      let rd = p.pl_fp_rd in
+      if rd >= 0 then begin
+        let prd, old_prd = Rename.alloc t.rename ~is_fp:true ~arch:rd ~now:t.now in
+        u.Uop.arch_rd <- rd;
+        u.Uop.rd_is_fp <- true;
+        u.Uop.prd <- prd;
+        u.Uop.old_prd <- old_prd
+      end);
+  (* allocate in ROB + queues *)
+  t.seq <- t.seq + 1;
+  Rob.push t.rob u;
+  if fused then t.perf.p_fused <- t.perf.p_fused + 1;
+  t.perf.p_dispatched <- t.perf.p_dispatched + 1;
+  let fault_free = no_fault it in
+  if fault_free && not p.pl_eliminated then begin
+    if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) u;
+    if Uop.is_load u then Lsu.insert_load t.lsu u;
+    if Uop.is_store u then Lsu.insert_store t.lsu u
+  end
+  else if not fault_free then begin
+    (* faulting fetch: deliver the exception at commit *)
+    u.Uop.state <- Uop.Completed;
+    u.Uop.done_at <- t.now
+  end;
+  (* PUBS: mark unconfident branch slices *)
+  (if t.cfg.issue_policy = Config.Pubs then
+     match it.fi_insn with
+     | Branch _ when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
+         u.Uop.priority <- true;
+         t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
+         mark_slice t ~depth:2 int_srcs
+     | _ -> ());
+  match t.tracer with
+  | Some tr ->
+      Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
+        ~label:(Insn.show it.fi_insn) ~fetched_at:it.fi_fetched_at ~now:t.now;
+      (* eliminated moves and faulting fetches never issue; close their
+         execute window at dispatch *)
+      if p.pl_eliminated || not fault_free then begin
+        Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now;
+        Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at:u.Uop.done_at
+      end
+  | None -> ()
 
 (* Phase 2: execute the dispatch plan -- rename, allocate, push into
    ROB/IQ/LSU.  A flush earlier in this cycle's application (commit
@@ -735,114 +866,27 @@ let step_dispatch t : dispatch_eff =
 let apply_dispatch t (eff : dispatch_eff) =
   if t.flushed_at = t.now then ()
   else begin
-    let aborted = ref false in
-    List.iter
-      (fun (p : disp_plan) ->
-        if not !aborted then begin
-          let u = p.pl_uop and it = p.pl_item in
-          let int_srcs = p.pl_int_srcs and fp_srcs = p.pl_fp_srcs in
-          let int_rd = p.pl_int_rd and fp_rd = p.pl_fp_rd in
-          if
-            Rob.is_full t.rob
-            || u.Uop.seq <> t.seq
-            (* the planned head item must still be queued (physical
-               identity): a boundary-hook flush cleared the fetch
-               queue, even if it left seq/ROB looking untouched *)
-            || (match Queue.peek_opt t.fetch_queue with
-               | Some live -> live != it
-               | None -> true)
-            || (int_rd <> None && (not p.pl_eliminated)
-               && not (Rename.can_alloc t.rename ~is_fp:false))
-            || (fp_rd <> None && not (Rename.can_alloc t.rename ~is_fp:true))
-          then aborted := true
-          else begin
-            (* consume the planned queue items *)
-            ignore (Queue.pop t.fetch_queue);
-            if p.pl_second <> None then ignore (Queue.pop t.fetch_queue);
-            (* rename sources *)
-            let psrc =
-              Array.of_list
-                (List.map (fun r -> Rename.lookup t.rename ~is_fp:false r) int_srcs
-                @ List.map (fun r -> Rename.lookup t.rename ~is_fp:true r) fp_srcs)
-            in
-            let psrc_fp =
-              Array.of_list
-                (List.map (fun _ -> false) int_srcs
-                @ List.map (fun _ -> true) fp_srcs)
-            in
-            u.Uop.psrc <- psrc;
-            u.Uop.psrc_fp <- psrc_fp;
-            (match (p.pl_eliminated, it.fi_insn) with
-            | true, Op_imm (ADD, rd, rs, _) ->
-                let prd, old_prd = Rename.alias t.rename ~arch_rd:rd ~arch_rs:rs in
-                u.Uop.arch_rd <- rd;
-                u.Uop.prd <- prd;
-                u.Uop.old_prd <- old_prd;
-                u.Uop.state <- Uop.Completed;
-                u.Uop.done_at <- t.now;
-                u.Uop.eliminated <- true;
-                t.perf.p_moves_eliminated <- t.perf.p_moves_eliminated + 1;
-                t.def_table.(rd) <- u.Uop.seq
-            | _ -> (
-                (match int_rd with
-                | Some rd ->
-                    let prd, old_prd =
-                      Rename.alloc t.rename ~is_fp:false ~arch:rd ~now:t.now
-                    in
-                    u.Uop.arch_rd <- rd;
-                    u.Uop.rd_is_fp <- false;
-                    u.Uop.prd <- prd;
-                    u.Uop.old_prd <- old_prd;
-                    t.def_table.(rd) <- u.Uop.seq
-                | None -> ());
-                (match fp_rd with
-                | Some rd ->
-                    let prd, old_prd =
-                      Rename.alloc t.rename ~is_fp:true ~arch:rd ~now:t.now
-                    in
-                    u.Uop.arch_rd <- rd;
-                    u.Uop.rd_is_fp <- true;
-                    u.Uop.prd <- prd;
-                    u.Uop.old_prd <- old_prd
-                | None -> ())));
-            (* allocate in ROB + queues *)
-            t.seq <- t.seq + 1;
-            Rob.push t.rob u;
-            if p.pl_second <> None then t.perf.p_fused <- t.perf.p_fused + 1;
-            t.perf.p_dispatched <- t.perf.p_dispatched + 1;
-            if it.fi_fault = None && not p.pl_eliminated then begin
-              if p.pl_iq >= 0 then Iq.insert t.iqs.(p.pl_iq) u;
-              if Uop.is_load u then Lsu.insert_load t.lsu u;
-              if Uop.is_store u then Lsu.insert_store t.lsu u
-            end
-            else if it.fi_fault <> None then begin
-              (* faulting fetch: deliver the exception at commit *)
-              u.Uop.state <- Uop.Completed;
-              u.Uop.done_at <- t.now
-            end;
-            (* PUBS: mark unconfident branch slices *)
-            (if t.cfg.issue_policy = Config.Pubs then
-               match it.fi_insn with
-               | Branch _ when Bpu.unconfident t.bpu ~pc:it.fi_pc ->
-                   u.Uop.priority <- true;
-                   t.perf.p_hi_prio <- t.perf.p_hi_prio + 1;
-                   mark_slice t ~depth:2 int_srcs
-               | _ -> ());
-            match t.tracer with
-            | Some tr ->
-                Perf.Pipetrace.on_dispatch tr ~seq:u.Uop.seq ~pc:u.Uop.pc
-                  ~label:(Insn.show it.fi_insn) ~fetched_at:it.fi_fetched_at
-                  ~now:t.now;
-                (* eliminated moves and faulting fetches never issue;
-                   close their execute window at dispatch *)
-                if p.pl_eliminated || it.fi_fault <> None then begin
-                  Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now;
-                  Perf.Pipetrace.on_complete tr ~seq:u.Uop.seq ~at:u.Uop.done_at
-                end
-            | None -> ()
-          end
-        end)
-      eff.dp_plans;
+    let k = ref 0 in
+    while !k < eff.dp_n do
+      let p = t.disp.(!k) in
+      if
+        Rob.is_full t.rob
+        || p.pl_seq <> t.seq
+        (* the planned head item must still be queued (physical
+           identity): a boundary-hook flush cleared the fetch queue,
+           even if it left seq/ROB looking untouched *)
+        || Ring.is_empty t.fetch_queue
+        || Ring.get t.fetch_queue 0 != p.pl_item
+        || p.pl_int_rd >= 0
+           && (not p.pl_eliminated)
+           && not (Rename.can_alloc t.rename ~is_fp:false)
+        || (p.pl_fp_rd >= 0 && not (Rename.can_alloc t.rename ~is_fp:true))
+      then k := eff.dp_n (* the rest of the group stalls too *)
+      else begin
+        dispatch_one t p;
+        incr k
+      end
+    done;
     match eff.dp_stall with
     | Some Rob_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_rob_full
     | Some Iq_full -> Perf.Perf_counter.incr t.ctrs t.ids.i_disp_iq_full
@@ -857,9 +901,12 @@ let apply_dispatch t (eff : dispatch_eff) =
 (* ---------------- issue / execute ------------------------------------ *)
 
 let src_values t (u : Uop.t) : int64 array =
-  Array.mapi
-    (fun i p -> Rename.value t.rename ~is_fp:u.Uop.psrc_fp.(i) ~prd:p)
-    u.Uop.psrc
+  let psrc = u.Uop.psrc in
+  let v = Array.make (Array.length psrc) 0L in
+  for i = 0 to Array.length psrc - 1 do
+    v.(i) <- Rename.value t.rename ~is_fp:u.Uop.psrc_fp.(i) ~prd:psrc.(i)
+  done;
+  v
 
 let complete t (u : Uop.t) ~at =
   u.Uop.state <- Uop.Completed;
@@ -980,9 +1027,9 @@ let issue_uop t (u : Uop.t) : bool =
       Exec.execute u srcs;
       (* fault injection: swallow the resolved redirect and follow the
          (possibly corrupted) prediction instead *)
-      (match u.Uop.insn with
-      | (Branch _ | Jal _ | Jalr _)
-        when t.bug_trust_bpu > 0 && u.Uop.mispredicted && u.Uop.exc = None ->
+      (match (u.Uop.insn, u.Uop.exc) with
+      | (Branch _ | Jal _ | Jalr _), None
+        when t.bug_trust_bpu > 0 && u.Uop.mispredicted ->
           u.Uop.next_pc <- u.Uop.pred_next;
           u.Uop.mispredicted <- false;
           t.bug_trust_bpu <- t.bug_trust_bpu - 1
@@ -1000,72 +1047,78 @@ let issue_uop t (u : Uop.t) : bool =
 
 (* Readiness against an explicit clock: phase 1 evaluates it at the
    cycle being planned (now + 1), which is the value [t.now] holds
-   when phase 2 applies the plan. *)
+   when phase 2 applies the plan.
+
+   Source readiness is memoised in the uop.  Once every producer has
+   completed, the sources' ready cycle is final while the uop waits: a
+   physical register is freed only after every older reader has
+   committed, and a squash that frees a younger producer's register
+   squashes its readers with it.  So the first finite
+   [Rename.srcs_ready_at] is kept, and later cycles compare one int.
+   Only this planner writes or reads the memo, so the planners' order
+   still cannot matter. *)
 let uop_ready_at t ~now (u : Uop.t) =
-  Rename.srcs_ready t.rename u ~now
+  (let r = u.Uop.srcs_ready_at in
+   if r >= 0 then r <= now
+   else begin
+     let r = Rename.srcs_ready_at t.rename u in
+     if r < max_int then u.Uop.srcs_ready_at <- r;
+     r <= now
+   end)
   && (u.Uop.exec_class <> Config.LOAD
      || Lsu.older_stores_known t.lsu ~seq:u.Uop.seq)
 
 (* Phase 1: per-IQ selection under the configured policy, plus the
-   Figure 15 ready-count, from one readiness scan per queue
-   ([Iq.select_counted] is pure); the pre-selected uops are
-   revalidated at application. *)
+   Figure 15 ready-count, from one readiness scan per queue.  Each
+   queue keeps its picks in its own [chosen] buffer, which only
+   [apply_issue] reads; they are revalidated there.  The readiness
+   closure is the cycle's only allocation here. *)
 let step_issue t : issue_eff =
-  let now = t.now + 1 in
-  let ready = uop_ready_at t ~now in
+  let ready = uop_ready_at t ~now:(t.now + 1) in
   let total = ref 0 in
-  let chosen =
-    Array.map
-      (fun iq ->
-        let sel, n = Iq.select_counted iq ~ready in
-        total := !total + n;
-        sel)
-      t.iqs
-  in
-  { ie_ready_total = !total; ie_chosen = chosen }
+  for i = 0 to Array.length t.iqs - 1 do
+    total := !total + Iq.select_counted t.iqs.(i) ~ready
+  done;
+  { ie_ready_total = !total }
 
 let apply_issue t (eff : issue_eff) =
-  t.perf.ready_hist.(min eff.ie_ready_total 16) <-
-    t.perf.ready_hist.(min eff.ie_ready_total 16) + 1;
-  let redirect = ref None in
-  Array.iteri
-    (fun i chosen ->
-      let iq = t.iqs.(i) in
-      List.iter
-        (fun (u : Uop.t) ->
-          (* revalidate the phase-1 selection: a commit-side flush in
-             this cycle squashed it, or a boundary fault hook stole it
-             from the queue (Iq.steal_waiting, observable as the O(1)
-             in_iq flag) -- issuing it anyway would mask the fault *)
-          if
-            (not u.Uop.squashed)
-            && u.Uop.state = Uop.Waiting
-            && u.Uop.in_iq
-          then
-            if issue_uop t u then begin
-              (match t.tracer with
-              | Some tr -> Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now
-              | None -> ());
-              if u.Uop.state <> Uop.Waiting then Iq.remove iq u;
-              if u.Uop.mispredicted && u.Uop.exc = None then
-                match !redirect with
-                | Some (s, _) when s <= u.Uop.seq -> ()
-                | Some _ | None -> redirect := Some (u.Uop.seq, u.Uop.next_pc)
-            end)
-        chosen)
-    eff.ie_chosen;
-  match !redirect with
-  | Some (seq, target) ->
-      (* redirect-vs-commit arbitration: the oldest resolved
-         mispredict wins among this cycle's issues; commit already
-         applied, so an older trap/serialise flush has squashed the
-         issuing uop and suppressed the redirect via revalidation *)
-      flush ~cause:`Misp t ~after:seq ~target;
-      t.recover_misp <- true;
-      (* model the resolve + refill bubble *)
-      t.inflight <-
-        Some { fb_ready_at = t.now + mispredict_penalty; fb_items = [] }
-  | None -> ()
+  t.perf.ready_hist.(imin eff.ie_ready_total 16) <-
+    t.perf.ready_hist.(imin eff.ie_ready_total 16) + 1;
+  (* the oldest resolved mispredict among this cycle's issues *)
+  let redirect_seq = ref max_int and redirect_target = ref 0L in
+  for i = 0 to Array.length t.iqs - 1 do
+    let iq = t.iqs.(i) in
+    for k = 0 to iq.Iq.n_chosen - 1 do
+      let u = iq.Iq.chosen.(k) in
+      (* revalidate the phase-1 selection: a commit-side flush in this
+         cycle squashed it, or a boundary fault hook stole it from the
+         queue (Iq.steal_waiting, observable as the O(1) in_iq flag)
+         -- issuing it anyway would mask the fault *)
+      if (not u.Uop.squashed) && u.Uop.state = Uop.Waiting && u.Uop.in_iq then
+        if issue_uop t u then begin
+          (match t.tracer with
+          | Some tr -> Perf.Pipetrace.on_issue tr ~seq:u.Uop.seq ~now:t.now
+          | None -> ());
+          if u.Uop.state <> Uop.Waiting then Iq.remove iq u;
+          match u.Uop.exc with
+          | None when u.Uop.mispredicted && u.Uop.seq < !redirect_seq ->
+              redirect_seq := u.Uop.seq;
+              redirect_target := u.Uop.next_pc
+          | Some _ | None -> ()
+        end
+    done
+  done;
+  if !redirect_seq < max_int then begin
+    (* redirect-vs-commit arbitration: the oldest resolved mispredict
+       wins among this cycle's issues; commit already applied, so an
+       older trap/serialise flush has squashed the issuing uop and
+       suppressed the redirect via revalidation *)
+    flush ~cause:`Misp t ~after:!redirect_seq ~target:!redirect_target;
+    t.recover_misp <- true;
+    (* model the resolve + refill bubble *)
+    t.inflight <-
+      Some { fb_ready_at = t.now + mispredict_penalty; fb_items = [] }
+  end
 
 (* ---------------- at-commit execution -------------------------------- *)
 
@@ -1098,7 +1151,7 @@ let execute_at_head t (u : Uop.t) : unit =
   in
   let drain_sb () =
     let lat = Lsu.drain_all t.lsu ~now:t.now ~on_drain:(drain_notify t) in
-    t.commit_busy_until <- max t.commit_busy_until (t.now + lat)
+    t.commit_busy_until <- imax t.commit_busy_until (t.now + lat)
   in
   match u.Uop.insn with
   | Csr (op, rd, rs1, addr) -> (
@@ -1273,15 +1326,17 @@ let execute_at_head t (u : Uop.t) : unit =
 exception Stop_commit
 
 let emit_probe t (u : Uop.t) ~trap ~interrupt =
-  (match u.Uop.insn with
-  | Insn.Sc _ when trap = None && interrupt = None ->
+  let no_trap = match trap with None -> true | Some _ -> false in
+  let no_exc = match u.Uop.exc with None -> true | Some _ -> false in
+  (match (u.Uop.insn, interrupt) with
+  | Insn.Sc _, None when no_trap ->
       Perf.Perf_counter.incr t.ctrs
         (if u.Uop.sc_failed then t.ids.i_sc_fail else t.ids.i_sc_success)
   | _ -> ());
   let load =
     if
       (Uop.is_load u || Insn.is_amo u.Uop.insn)
-      && trap = None && u.Uop.exc = None
+      && no_trap && no_exc
       &&
       match u.Uop.insn with Sc _ -> false | _ -> true
     then
@@ -1295,7 +1350,7 @@ let emit_probe t (u : Uop.t) ~trap ~interrupt =
     else None
   in
   let store =
-    if Uop.is_store u && u.Uop.exc = None && not u.Uop.sc_failed then
+    if Uop.is_store u && no_exc && not u.Uop.sc_failed then
       Some
         {
           Probe.m_paddr = u.Uop.paddr;
@@ -1462,6 +1517,12 @@ let step_drain t : drain_eff =
    right after commit applies: the attribution inputs (ROB head,
    recovery windows) are this cycle's retirement outcome, which no
    phase-1 ordering can perturb. *)
+(* A head load that is really an SC or AMO waits on the store side. *)
+let mem_bucket (u : Uop.t) =
+  match u.Uop.insn with
+  | Insn.Sc _ | Insn.Amo _ -> Perf.Topdown.Mem_store
+  | _ -> Perf.Topdown.Mem_load
+
 let attribute_topdown t ~committed =
   let open Perf in
   let bucket =
@@ -1475,17 +1536,12 @@ let attribute_topdown t ~committed =
           if t.now < t.icache_stall_until then Topdown.Frontend_icache
           else Topdown.Frontend_fetch
       | Some u -> (
-          let mem_bucket () =
-            match u.Uop.insn with
-            | Insn.Sc _ | Insn.Amo _ -> Topdown.Mem_store
-            | _ -> Topdown.Mem_load
-          in
           match u.Uop.state with
           | Uop.Completed ->
               if u.Uop.done_at > t.now || t.now < t.commit_busy_until then (
                 (* head still finishing: charge its execution class *)
                 match u.Uop.exec_class with
-                | Config.LOAD -> mem_bucket ()
+                | Config.LOAD -> mem_bucket u
                 | Config.STORE -> Topdown.Mem_store
                 | _ -> Topdown.Core_exec)
               else
@@ -1494,12 +1550,12 @@ let attribute_topdown t ~committed =
                 Topdown.Mem_store
           | Uop.Issued -> (
               match u.Uop.exec_class with
-              | Config.LOAD -> mem_bucket ()
+              | Config.LOAD -> mem_bucket u
               | Config.STORE -> Topdown.Mem_store
               | _ -> Topdown.Core_exec)
           | Uop.Waiting -> (
               match u.Uop.exec_class with
-              | Config.LOAD -> mem_bucket ()
+              | Config.LOAD -> mem_bucket u
               | Config.STORE -> Topdown.Mem_store
               | _ -> Topdown.Core_dep))
   in
@@ -1575,12 +1631,12 @@ let apply t (e : effects) =
   let uops_before = t.perf.p_uops in
   apply_commit t e.ef_commit;
   let committed = t.perf.p_uops - uops_before in
-  Perf.Perf_counter.incr t.ctrs t.ids.i_commit_w.(min committed 8);
+  Perf.Perf_counter.incr t.ctrs t.ids.i_commit_w.(imin committed 8);
   attribute_topdown t ~committed;
   apply_issue t e.ef_issue;
   if e.ef_drain.de_fire then
     Lsu.drain t.lsu ~now:t.now ~on_drain:(drain_notify t);
-  if Queue.is_empty t.fetch_queue then
+  if Ring.is_empty t.fetch_queue then
     Perf.Perf_counter.incr t.ctrs t.ids.i_fetch_bubble;
   apply_dispatch t e.ef_dispatch;
   apply_fetch t e.ef_fetch;

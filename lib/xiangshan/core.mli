@@ -30,6 +30,11 @@ type fetch_item = {
 
 type fetch_bundle = { fb_ready_at : int; fb_items : fetch_item list }
 
+type disp_plan
+(** One admitted uop of a planned dispatch group: the dispatch
+    planner's private scratch, read only by the same cycle's dispatch
+    application. *)
+
 (** Performance counters, including the Figure 15 ready-instruction
     histogram and the PUBS high-priority accounting. *)
 type perf = {
@@ -86,7 +91,13 @@ type t = {
   mutable fetch_pc : int64;
   mutable fetch_stalled : bool;
   mutable inflight : fetch_bundle option;
-  fetch_queue : fetch_item Queue.t;
+  fetch_queue : fetch_item Ring.t;
+      (** capacity [fetch_buffer + fetch_width]; the head is slot 0 *)
+  disp : disp_plan array;
+      (** dispatch planner scratch, [decode_width] entries *)
+  disp_iq_occ : int array;
+      (** dispatch planner scratch: per-IQ occupancy with the group's
+          claims *)
   mutable commit_busy_until : int;
   mutable recover_until : int;
   mutable recover_misp : bool;
@@ -125,8 +136,9 @@ type commit_eff = {
 
 type issue_eff = {
   ie_ready_total : int;  (** Figure 15: ready instructions before selection *)
-  ie_chosen : Uop.t list array;  (** per-IQ selection (age/PUBS policy) *)
 }
+(** The per-IQ selections themselves stay in each queue's
+    [Iq.chosen] buffer. *)
 
 type drain_eff = {
   de_fire : bool;  (** store buffer eligible to drain one entry *)
@@ -140,23 +152,8 @@ type stall_kind =
   | Freelist_int
   | Freelist_fp
 
-type disp_plan = {
-  pl_uop : Uop.t;  (** pre-built uop, seq pre-assigned from the snapshot *)
-  pl_item : fetch_item;  (** head fetch-queue item consumed *)
-  pl_second : fetch_item option;  (** second item consumed when fused *)
-  pl_iq : int;  (** target IQ index, -1 = none (at-commit / fault) *)
-  pl_eliminated : bool;  (** move elimination: alias, no alloc, no issue *)
-  pl_int_srcs : int list;
-      (** [Fusion.fused_regs] of [pl_uop], cached at plan time so phase
-          2 never recomputes it; [pl_int_rd] is normalised (x0 writes
-          dropped). *)
-  pl_fp_srcs : int list;
-  pl_int_rd : int option;
-  pl_fp_rd : int option;
-}
-
 type dispatch_eff = {
-  dp_plans : disp_plan list;  (** in program order *)
+  dp_n : int;  (** admitted uops, planned in [disp.(0 .. dp_n-1)] *)
   dp_stall : stall_kind option;  (** first scarce resource, if any *)
 }
 
@@ -172,6 +169,10 @@ type effects = {
   ef_dispatch : dispatch_eff;
   ef_fetch : fetch_eff;
 }
+
+val no_effects : effects
+(** The effects of a cycle in which no unit acts: the filler of
+    preallocated effect arrays, never applied. *)
 
 val create :
   Config.t ->
@@ -204,8 +205,10 @@ val mispredict_penalty : int
 
 val step : t -> effects
 (** Phase 1: evaluate every unit planner against the read-only
-    start-of-cycle state, in the configured {!phase_order}.  Performs
-    no mutation. *)
+    start-of-cycle state, in the configured {!phase_order}.  It
+    changes no simulated state; it writes only planner-private scratch
+    that no other planner reads (each IQ's [chosen] buffer, [disp],
+    [disp_iq_occ], the [Uop.srcs_ready_at] memo). *)
 
 val apply : t -> effects -> unit
 (** Phase 2: advance the clock and commit the effects in the canonical

@@ -30,10 +30,12 @@ let try_fuse (i1 : Insn.t) (i2 : Insn.t) : Uop.fusion option =
       Some (Uop.Fused_sh_add (Int64.to_int k))
   | _ -> None
 
-(* Register usage of a (possibly fused) uop:
+(* Register usage of a (possibly fused) instruction pair, from the
+   decoded pair alone so dispatch can plan before it builds the uop:
    (int sources, fp sources, int dest, fp dest). *)
-let fused_regs (u : Uop.t) : int list * int list * int option * int option =
-  match (u.Uop.fusion, u.Uop.insn, u.Uop.second) with
+let fused_regs (fusion : Uop.fusion option) (insn : Insn.t)
+    (second : Insn.t option) : int list * int list * int option * int option =
+  match (fusion, insn, second) with
   | Some (Uop.Fused_lui_addi _), Lui (rd, _), _ -> ([], [], Some rd, None)
   | Some Uop.Fused_zext_w, Op_imm (SLL, rd, rs, _), _ ->
       ([ rs ], [], Some rd, None)
@@ -41,5 +43,5 @@ let fused_regs (u : Uop.t) : int list * int list * int option * int option =
     ->
       let other = if ra = rd then rb else ra in
       ([ rs1; other ], [], Some rd, None)
-  | Some _, _, _ -> Insn.regs u.Uop.insn (* unreachable by construction *)
+  | Some _, _, _ -> Insn.regs insn (* unreachable by construction *)
   | None, insn, _ -> Insn.regs insn

@@ -10,6 +10,12 @@ val try_fuse : Riscv.Insn.t -> Riscv.Insn.t -> Uop.fusion option
     when they must not fuse (pattern mismatch or the intermediate
     register escapes). *)
 
-val fused_regs : Uop.t -> int list * int list * int option * int option
-(** Register usage of a (possibly fused) uop:
-    (int sources, fp sources, int dest, fp dest). *)
+val fused_regs :
+  Uop.fusion option ->
+  Riscv.Insn.t ->
+  Riscv.Insn.t option ->
+  int list * int list * int option * int option
+(** [fused_regs fusion first second]: register usage of a (possibly
+    fused) instruction pair, as (int sources, fp sources, int dest, fp
+    dest).  It needs no uop, so dispatch decides admission before it
+    builds one. *)

@@ -90,11 +90,14 @@ let drop_squashed t =
 
 (* All older stores have known addresses (conservative load
    scheduling: no memory-dependence speculation, hence no ordering
-   violations to replay). *)
-let older_stores_known t ~(seq : int) =
-  List.for_all
-    (fun (s : Uop.t) -> s.Uop.seq >= seq || s.Uop.addr_ready)
-    t.sq
+   violations to replay).  Asked for every waiting load every cycle:
+   a plain recursion, no closure. *)
+let rec stores_known seq = function
+  | [] -> true
+  | (s : Uop.t) :: rest ->
+      (s.Uop.seq >= seq || s.Uop.addr_ready) && stores_known seq rest
+
+let older_stores_known t ~(seq : int) = stores_known seq t.sq
 
 type forward_result = Forward of int64 | Blocked | No_match
 

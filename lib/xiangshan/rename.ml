@@ -8,7 +8,7 @@
 
 type rf = {
   map : int array; (* arch -> phys *)
-  free : int Queue.t;
+  free : int Ring.t; (* FIFO: released registers are reused last *)
   value : int64 array;
   ready_at : int array; (* cycle the value becomes available *)
   refcnt : int array;
@@ -18,7 +18,7 @@ let make_rf ~arch_regs ~pregs =
   let rf =
     {
       map = Array.init arch_regs (fun i -> i);
-      free = Queue.create ();
+      free = Ring.create ~capacity:pregs (-1);
       value = Array.make pregs 0L;
       ready_at = Array.make pregs 0;
       refcnt = Array.make pregs 0;
@@ -28,7 +28,7 @@ let make_rf ~arch_regs ~pregs =
     rf.refcnt.(i) <- 1
   done;
   for p = arch_regs to pregs - 1 do
-    Queue.add p rf.free
+    Ring.push rf.free p
   done;
   rf
 
@@ -48,15 +48,15 @@ let lookup t ~is_fp arch = (rf t is_fp).map.(arch)
 let free_phys rf p =
   rf.refcnt.(p) <- rf.refcnt.(p) - 1;
   assert (rf.refcnt.(p) >= 0);
-  if rf.refcnt.(p) = 0 then Queue.add p rf.free
+  if rf.refcnt.(p) = 0 then Ring.push rf.free p
 
 (* Can we rename a uop that needs an int/fp destination? *)
-let can_alloc t ~is_fp = not (Queue.is_empty (rf t is_fp).free)
+let can_alloc t ~is_fp = not (Ring.is_empty (rf t is_fp).free)
 
 (* Allocate a new destination mapping; returns (prd, old_prd). *)
 let alloc t ~is_fp ~arch ~now =
   let rf = rf t is_fp in
-  let p = Queue.pop rf.free in
+  let p = Ring.pop rf.free in
   let old_p = rf.map.(arch) in
   rf.map.(arch) <- p;
   rf.refcnt.(p) <- 1;
@@ -107,14 +107,17 @@ let set_result t ~is_fp ~prd ~value ~ready_at =
 
 let value t ~is_fp ~prd = (rf t is_fp).value.(prd)
 
-let ready t ~is_fp ~prd ~now = (rf t is_fp).ready_at.(prd) <= now
+(* The cycle all of a uop's sources are available: the latest
+   source's ready cycle, max_int while a producer is pending.  A plain
+   loop, no closure. *)
+let srcs_ready_at t (u : Uop.t) =
+  let psrc = u.Uop.psrc and psrc_fp = u.Uop.psrc_fp in
+  let r = ref 0 in
+  for i = 0 to Array.length psrc - 1 do
+    let rf = if Array.unsafe_get psrc_fp i then t.fp_rf else t.int_rf in
+    let c = rf.ready_at.(Array.unsafe_get psrc i) in
+    if c > !r then r := c
+  done;
+  !r
 
-(* A uop's sources are all available at [now]? *)
-let srcs_ready t (u : Uop.t) ~now =
-  let ok = ref true in
-  Array.iteri
-    (fun i p -> if not (ready t ~is_fp:u.Uop.psrc_fp.(i) ~prd:p ~now) then ok := false)
-    u.Uop.psrc;
-  !ok
-
-let free_count t ~is_fp = Queue.length (rf t is_fp).free
+let free_count t ~is_fp = Ring.length (rf t is_fp).free

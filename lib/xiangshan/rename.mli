@@ -9,7 +9,7 @@
 
 type rf = {
   map : int array; (** architectural -> physical *)
-  free : int Queue.t;
+  free : int Ring.t;
   value : int64 array;
   ready_at : int array;
   refcnt : int array; (** move elimination shares physical registers *)
@@ -45,8 +45,8 @@ val set_result : t -> is_fp:bool -> prd:int -> value:int64 -> ready_at:int -> un
 
 val value : t -> is_fp:bool -> prd:int -> int64
 
-val ready : t -> is_fp:bool -> prd:int -> now:int -> bool
-
-val srcs_ready : t -> Uop.t -> now:int -> bool
+val srcs_ready_at : t -> Uop.t -> int
+(** The cycle all of the uop's sources are available; [max_int] while
+    any producer has not completed. *)
 
 val free_count : t -> is_fp:bool -> int

@@ -17,6 +17,8 @@ type t = {
   l2s : Softmem.Cache.t array;
   l3 : Softmem.Cache.t option;
   dram : Softmem.Dram.t;
+  nodes : Softmem.Cache.t array; (* every cache node, depth-first from the outermost level *)
+  effects : Core.effects array; (* this cycle's plans, one per core *)
   mutable now : int;
   mutable event_sink : Softmem.Event.sink;
   mutable fault_hooks : (t -> unit) list;
@@ -66,6 +68,9 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
         Softmem.Cache.set_mshrs l1d cfg.mshrs;
         Core.create cfg ~hartid:i ~plat ~l1i ~l1d ~ptw_port:ptw)
   in
+  let nodes = ref [] in
+  let collect node = Softmem.Cache.iter_tree node (fun n -> nodes := n :: !nodes) in
+  (match l3 with Some l3 -> collect l3 | None -> Array.iter collect l2s);
   let t =
     {
       cfg;
@@ -74,6 +79,8 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
       l2s;
       l3;
       dram;
+      nodes = Array.of_list (List.rev !nodes);
+      effects = Array.make cfg.n_cores Core.no_effects;
       now = 0;
       event_sink = Softmem.Event.null_sink;
       fault_hooks = [];
@@ -84,10 +91,9 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
     (fun i core ->
       core.Core.on_store_drain <-
         (fun paddr _size ->
-          Array.iteri
-            (fun j other ->
-              if i <> j then Lsu.snoop_invalidate other.Core.lsu ~paddr)
-            cores))
+          for j = 0 to Array.length cores - 1 do
+            if i <> j then Lsu.snoop_invalidate cores.(j).Core.lsu ~paddr
+          done))
     cores;
   t
 
@@ -95,13 +101,8 @@ let create ?(dram_size = 64 * 1024 * 1024) (cfg : Config.t) : t =
    cache tree's line metadata (depth-first from the outermost level),
    then per hart its predictor and TLB tables. *)
 let cow_stores (t : t) : Riscv.Cow_store.t list =
-  let caches = ref [] in
-  let collect node =
-    Softmem.Cache.iter_tree node (fun n ->
-        caches := n.Softmem.Cache.meta :: !caches)
-  in
-  (match t.l3 with Some l3 -> collect l3 | None -> Array.iter collect t.l2s);
-  (t.plat.Platform.mem.Memory.store :: List.rev !caches)
+  (t.plat.Platform.mem.Memory.store
+  :: List.map (fun n -> n.Softmem.Cache.meta) (Array.to_list t.nodes))
   @ List.concat_map
       (fun (c : Core.t) -> c.Core.bpu.Bpu.store :: Tlb.stores c.Core.tlb)
       (Array.to_list t.cores)
@@ -109,8 +110,7 @@ let cow_stores (t : t) : Riscv.Cow_store.t list =
 (* Install an event sink on every cache node. *)
 let set_event_sink (t : t) (sink : Softmem.Event.sink) =
   t.event_sink <- sink;
-  let install node = Softmem.Cache.iter_tree node (fun n -> n.Softmem.Cache.sink <- sink) in
-  (match t.l3 with Some l3 -> install l3 | None -> Array.iter install t.l2s)
+  Array.iter (fun n -> n.Softmem.Cache.sink <- sink) t.nodes
 
 let load_program (t : t) (p : Asm.program) =
   Asm.load p t.plat.Platform.mem;
@@ -123,20 +123,28 @@ let add_fault_hook (t : t) f = t.fault_hooks <- t.fault_hooks @ [ f ]
    fire the fault hooks at the effect boundary, then apply all plans
    in hart order (phase 2).  Hooks mutating pipeline structures
    between the phases are exactly the hazard the appliers revalidate
-   against (e.g. Iq.steal_waiting vs a pre-selected issue). *)
+   against (e.g. Iq.steal_waiting vs a pre-selected issue).  The
+   per-cycle path is plain loops over preallocated arrays. *)
+let rec run_hooks t = function
+  | [] -> ()
+  | f :: rest ->
+      f t;
+      run_hooks t rest
+
 let tick (t : t) =
   t.now <- t.now + 1;
   Platform.Clint.tick t.plat.Platform.clint 1;
-  (match t.l3 with
-  | Some l3 -> Softmem.Cache.iter_tree l3 (fun n -> Softmem.Cache.set_now n t.now)
-  | None ->
-      Array.iter
-        (fun l2 ->
-          Softmem.Cache.iter_tree l2 (fun n -> Softmem.Cache.set_now n t.now))
-        t.l2s);
-  let effects = Array.map Core.step t.cores in
-  List.iter (fun f -> f t) t.fault_hooks;
-  Array.iteri (fun i core -> Core.apply core effects.(i)) t.cores
+  for i = 0 to Array.length t.nodes - 1 do
+    Softmem.Cache.set_now t.nodes.(i) t.now
+  done;
+  let n = Array.length t.cores in
+  for i = 0 to n - 1 do
+    t.effects.(i) <- Core.step t.cores.(i)
+  done;
+  run_hooks t t.fault_hooks;
+  for i = 0 to n - 1 do
+    Core.apply t.cores.(i) t.effects.(i)
+  done
 
 let exited (t : t) = Platform.exited t.plat
 

@@ -15,6 +15,11 @@ type t = {
   l2s : Softmem.Cache.t array;
   l3 : Softmem.Cache.t option;
   dram : Softmem.Dram.t;
+  nodes : Softmem.Cache.t array;
+      (** every cache node, depth-first from the outermost level *)
+  effects : Core.effects array;
+      (** the current cycle's plans, one per core, between [Core.step]
+          and [Core.apply] *)
   mutable now : int;
   mutable event_sink : Softmem.Event.sink;
   mutable fault_hooks : (t -> unit) list;

@@ -43,6 +43,8 @@ type t = {
   mutable in_iq : bool; (* resident in an issue queue: O(1) membership
                            for phase-2 issue revalidation *)
   mutable eliminated : bool; (* move-eliminated: result read at commit *)
+  mutable srcs_ready_at : int; (* cycle all sources are available, once
+                                  known; -1 before (issue planner's memo) *)
   (* memory *)
   mutable vaddr : int64;
   mutable paddr : int64;
@@ -59,8 +61,10 @@ type t = {
 
 let is_load u = Insn.is_load u.insn && u.where = In_iq
 
-let is_store u =
-  match u.insn with Store _ | Fsd _ -> true | _ -> false
+let is_store_insn (insn : Insn.t) =
+  match insn with Store _ | Fsd _ -> true | _ -> false
+
+let is_store u = is_store_insn u.insn
 
 (* Classify an instruction into an execution class and a pipeline
    placement. *)
@@ -142,6 +146,7 @@ let make ~seq ~pc ~insn ~second ~fusion ~pred_next : t =
     squashed = false;
     in_iq = false;
     eliminated = false;
+    srcs_ready_at = -1;
     vaddr = 0L;
     paddr = 0L;
     msize = 0;
@@ -154,3 +159,7 @@ let make ~seq ~pc ~insn ~second ~fusion ~pred_next : t =
     csr_read = None;
     committed_store = false;
   }
+
+let vacant =
+  make ~seq:(-1) ~pc:0L ~insn:(Illegal 0l) ~second:None ~fusion:None
+    ~pred_next:0L

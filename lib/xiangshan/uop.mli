@@ -46,6 +46,10 @@ type t = {
           issue revalidation is O(1) (a boundary fault hook may have
           stolen the slot) *)
   mutable eliminated : bool;
+  mutable srcs_ready_at : int;
+      (** the cycle all physical sources are available, once every
+          producer has completed; -1 before.  The issue planner's memo
+          of [Rename.srcs_ready_at] *)
   mutable vaddr : int64;
   mutable paddr : int64;
   mutable msize : int;
@@ -65,6 +69,9 @@ val is_load : t -> bool
 val is_store : t -> bool
 (** Stores that go through the SQ/store buffer. *)
 
+val is_store_insn : Insn.t -> bool
+(** [is_store] of the uop an instruction becomes. *)
+
 val classify : Insn.t -> Config.exec_class * where
 
 val latency : Config.exec_class -> Insn.t -> int
@@ -78,3 +85,7 @@ val make :
   fusion:fusion option ->
   pred_next:int64 ->
   t
+
+val vacant : t
+(** The filler of an empty slot in a preallocated uop array; it never
+    enters the pipeline. *)

@@ -166,6 +166,77 @@ let test_store_restore_twice () =
   Alcotest.(check int) "live untouched" 7 (Cow_store.get_int st 0);
   Cow_store.release snap
 
+(* Page recycling: a page whose last reference goes (here: the older
+   of two snapshots released) lends its bytes to the next COW copy,
+   which must overwrite all of them; pages a live snapshot still holds
+   are never recycled, so restoring that snapshot stays exact. *)
+let test_store_recycles_pages () =
+  let st = Cow_store.create ~size:(words * 8) in
+  let per_page = Cow_store.page_size / 8 in
+  let fill page f =
+    for i = 0 to per_page - 1 do
+      Cow_store.set_int st ((page * Cow_store.page_size) + (8 * i)) (f i)
+    done
+  in
+  let check what page f =
+    for i = 0 to per_page - 1 do
+      let got = Cow_store.get_int st ((page * Cow_store.page_size) + (8 * i)) in
+      if got <> f i then
+        Alcotest.failf "%s: page %d word %d = %d, wanted %d" what page i got (f i)
+    done
+  in
+  let data page =
+    match st.Cow_store.pages.(page) with
+    | Some p -> p.Cow_store.data
+    | None -> Alcotest.fail "page not allocated"
+  in
+  let pat_a i = 1000 + i and pat_b i = -7 * i and pat_c i = i lxor 0x5555 in
+  fill 0 pat_a;
+  fill 1 pat_c;
+  let a = Cow_store.snapshot st in
+  let a_page0 = data 0 in
+  (* COW: page 0 is copied, then rewritten in place *)
+  fill 0 pat_b;
+  let b = Cow_store.snapshot st in
+  let spares_before = Cow_store.spare_pages () in
+  Cow_store.release a;
+  (* only a's copy of page 0 lost its last reference; page 1 is still
+     held by b and by the live table *)
+  Alcotest.(check int) "one page recycled"
+    (min Cow_store.max_spare_pages (spares_before + 1))
+    (Cow_store.spare_pages ());
+  Cow_store.set_int st (5 * 8) 99;
+  if spares_before < Cow_store.max_spare_pages then
+    Alcotest.(check bool) "the COW copy reused the recycled bytes" true
+      (data 0 == a_page0);
+  check "recycled page" 0 (fun i -> if i = 5 then 99 else pat_b i);
+  check "shared page" 1 pat_c;
+  Cow_store.restore st b;
+  check "restored page 0" 0 pat_b;
+  check "restored page 1" 1 pat_c;
+  check "never-written page" 2 (fun _ -> 0);
+  Cow_store.release b
+
+(* The spare list never holds more than its bound, however many pages
+   lose their last reference at once. *)
+let test_store_spare_bound () =
+  let n = Cow_store.max_spare_pages + 10 in
+  let st = Cow_store.create ~size:(n * Cow_store.page_size) in
+  let touch v =
+    for k = 0 to n - 1 do
+      Cow_store.set_int st (k * Cow_store.page_size) v
+    done
+  in
+  touch 1;
+  let s = Cow_store.snapshot st in
+  touch 2;
+  Cow_store.release s;
+  Alcotest.(check int) "spare list full, not over" Cow_store.max_spare_pages
+    (Cow_store.spare_pages ());
+  for k = 0 to n - 1 do
+    Alcotest.(check int) "live value" 2 (Cow_store.get_int st (k * Cow_store.page_size))
+  done
+
 let prop_rw =
   QCheck2.Test.make ~count:500 ~name:"random aligned write/read"
     QCheck2.Gen.(
@@ -199,5 +270,9 @@ let tests =
       test_store_refcounts;
     Alcotest.test_case "store: restore works twice" `Quick
       test_store_restore_twice;
+    Alcotest.test_case "store: released pages are recycled, held ones not"
+      `Quick test_store_recycles_pages;
+    Alcotest.test_case "store: the spare list keeps its bound" `Quick
+      test_store_spare_bound;
     QCheck_alcotest.to_alcotest prop_rw;
   ]

@@ -256,6 +256,51 @@ let test_phase_order_env () =
   Alcotest.(check bool) "shuffle:9" true (order_of "shuffle:9" = Core.Shuffle 9);
   Alcotest.(check bool) "garbage" true (order_of "shuffle:x" = Core.Default_order)
 
+(* DUT timing pin: the cycle model run alone, with no DiffTest, must
+   reproduce the cycle count and every counter of the recorded runs,
+   in the default and a shuffled phase order.  Refactors of the cycle
+   model's data structures must not move simulated time; this catches
+   drift without the benchmark.  The digest is MD5 over
+   "name=value;..." of [Workflow.soc_counters], sorted by name. *)
+let test_dut_timing_pinned () =
+  let mcf = Workloads.Suite.find "mcf_like" in
+  let lrsc = Minjie.Campaign.find_workload "smp_lrsc" in
+  let cases =
+    [
+      ( "mcf_like/YQH, first 150k cycles",
+        Xiangshan.Config.yqh,
+        mcf.program ~scale:mcf.small,
+        150_000,
+        (150_000, None, "ab7264f09a5beea64aab560db95ee817") );
+      ( "smp_lrsc/NH",
+        Xiangshan.Config.nh,
+        lrsc.program ~scale:32,
+        max_int,
+        (93_357, Some 0, "69f583533200d171316b8333d57c1102") );
+    ]
+  in
+  List.iter
+    (fun (what, cfg, prog, max_cycles, (cycles, exit, digest)) ->
+      List.iter
+        (fun order ->
+          let soc = Soc.create cfg in
+          Soc.load_program soc prog;
+          set_order soc order;
+          ignore (Soc.run ~max_cycles soc : int);
+          let what = what ^ " " ^ order_name order in
+          Alcotest.(check int) (what ^ " cycles") cycles soc.Soc.now;
+          Alcotest.(check (option int)) (what ^ " exit") exit (Soc.exit_code soc);
+          let counters =
+            String.concat ";"
+              (List.map
+                 (fun (k, v) -> k ^ "=" ^ string_of_int v)
+                 (Minjie.Workflow.soc_counters soc))
+          in
+          Alcotest.(check string) (what ^ " counter digest") digest
+            (Digest.to_hex (Digest.string counters)))
+        [ Core.Default_order; Core.Shuffle 1 ])
+    cases
+
 let tests =
   [
     Alcotest.test_case "MINJIE_PHASE_ORDER parsing" `Quick test_phase_order_env;
@@ -273,4 +318,6 @@ let tests =
       test_boundary_flush_degrades_to_stall;
     Alcotest.test_case "campaign cells identical under permutation" `Slow
       test_campaign_cells_under_permutation;
+    Alcotest.test_case "DUT cycles and counters pinned" `Slow
+      test_dut_timing_pinned;
   ]
